@@ -29,11 +29,12 @@ import time
 from benchmarks.conftest import print_table
 from benchmarks.trajectory import emit_trajectory
 from repro.datagen import make_person_benchmark
+from repro.matching.attribute_matching import compare_pairs
 from repro.streaming import build_pipeline_and_index
 
 # The person benchmark's attributes under a measure mix that exercises
 # every kernel family: memoized string measures (monge_elkan on both
-# name fields, as in bench_parallel), set overlap (token_jaccard,
+# name fields), set overlap (token_jaccard,
 # ngram_jaccard), and the elementwise numeric lane.
 CONFIG = {
     "key": {"kind": "first_token", "attribute": "last_name"},
@@ -60,14 +61,13 @@ def _bits(value):
 def test_kernel_speedup_and_identity():
     record_count = 400 if _smoke() else 2500
     benchmark = make_person_benchmark(record_count, seed=42)
-    scalar_pipeline, _ = build_pipeline_and_index(
-        {**CONFIG, "columnar": False}
-    )
     columnar_pipeline, _ = build_pipeline_and_index(CONFIG)
     prepared = columnar_pipeline.prepare(benchmark.dataset)
     candidates = columnar_pipeline.generate_candidates(prepared)
+    ordered = sorted(candidates)
+    comparator = columnar_pipeline.comparator
 
-    # Steady-state methodology (same as bench_parallel): one untimed
+    # Steady-state methodology: one untimed
     # warmup pass per path primes process-wide state — the scalar
     # loop's tokenizer/ngram lru caches, the kernels' distinct-pair
     # memos, numpy's allocator — then a single timed pass measures
@@ -79,9 +79,9 @@ def test_kernel_speedup_and_identity():
     )
     columnar_seconds = time.perf_counter() - started
 
-    scalar_pipeline.compare_candidates(prepared, candidates)
+    compare_pairs(prepared, ordered, comparator)
     started = time.perf_counter()
-    scalar_vectors = scalar_pipeline.compare_candidates(prepared, candidates)
+    scalar_vectors = compare_pairs(prepared, ordered, comparator)
     scalar_seconds = time.perf_counter() - started
 
     assert len(columnar_vectors) == len(scalar_vectors)

@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Columnar comparison kernels: batch-score candidate pairs.
 
-The matching pipeline's comparison stage can run in two modes that
-produce byte-identical similarity vectors:
+The matching pipeline's comparison stage scores candidate blocks on
+the columnar path (:mod:`repro.columnar`): records re-laid-out as
+interned per-attribute id columns, whole blocks scored by vectorized
+kernels that compute each *distinct* value pair once.  The scalar loop
+(:func:`repro.matching.attribute_matching.compare_pairs`, one Python
+call per pair and attribute) stays as the fallback for measures
+without a kernel and as the reference the kernels must match.
 
-- the scalar loop — one Python call per (pair, attribute), and
-- the columnar path (:mod:`repro.columnar`) — records re-laid-out as
-  interned per-attribute id columns, whole candidate blocks scored by
-  vectorized kernels that compute each *distinct* value pair once.
-
-This example builds both, shows the store's layout, proves the scores
+This example runs both, shows the store's layout, proves the scores
 are bitwise equal, and reads the kernel telemetry counters to show how
 much scoring work deduplication saved.
 
@@ -24,6 +24,7 @@ import struct
 import time
 
 from repro.datagen import make_person_benchmark
+from repro.matching.attribute_matching import compare_pairs
 from repro.streaming import build_pipeline_and_index
 from repro.telemetry.metrics import get_metrics
 
@@ -44,9 +45,6 @@ def main() -> None:
     benchmark = make_person_benchmark(600, seed=11)
 
     columnar_pipeline, _ = build_pipeline_and_index(CONFIG)
-    scalar_pipeline, _ = build_pipeline_and_index(
-        {**CONFIG, "columnar": False}
-    )
 
     # --- 1. The columnar layout ---------------------------------------------
     prepared = columnar_pipeline.prepare(benchmark.dataset)
@@ -69,7 +67,9 @@ def main() -> None:
     columnar_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    slow = scalar_pipeline.compare_candidates(prepared, candidates)
+    slow = compare_pairs(
+        prepared, sorted(candidates), columnar_pipeline.comparator
+    )
     scalar_seconds = time.perf_counter() - started
 
     # --- 3. Byte-identity ----------------------------------------------------

@@ -30,9 +30,6 @@ clustering), ``snapshot`` prints the current duplicate clusters, and
     python -m repro stream snapshot --store s.db --name crm
     python -m repro stream status  --store s.db
 
-``--workers``/``--shards`` (on ``stream init`` and ``stream ingest``)
-shard the comparison stage over a process pool
-(:mod:`repro.matching.parallel`); output is byte-identical to serial.
 ``--blocker lsh --num-perm 128 --bands 32`` (on ``stream init``)
 selects approximate MinHash-LSH blocking (:mod:`repro.matching.lsh`)
 instead of an exact key scheme — typo-robust candidate generation whose
@@ -49,11 +46,11 @@ SIGTERM shut the server down gracefully::
 
 The ``trace`` command runs a fully traced matching pipeline through the
 engine (:mod:`repro.telemetry`): the span tree — pipeline stages,
-engine jobs with cache-hit annotations, per-shard process-pool timings
+engine jobs with cache-hit annotations, columnar comparison kernels
 — prints to stdout together with the Prometheus metric snapshot, and
 ``--output DIR`` persists both as ``spans.jsonl``/``metrics.json``::
 
-    python -m repro trace --generate 600 --workers 2 --repeat 2
+    python -m repro trace --generate 600 --repeat 2
     python -m repro trace --dataset d.csv --gold g.csv --similarity name=jaro_winkler
 
 Every command reads CSV files (``--separator`` configures the dialect)
@@ -308,25 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also lowercase values during preparation",
     )
     stream_init.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="processes for sharded delta scoring (0 = all cores, default serial)",
-    )
-    stream_init.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="comparison shard count (default: 4 x workers; implies "
-             "--workers 0 when given alone)",
-    )
-    stream_init.add_argument(
-        "--no-columnar",
-        action="store_true",
-        help="score deltas with the scalar per-pair loop instead of the "
-             "columnar batch kernels (output is identical either way)",
-    )
-    stream_init.add_argument(
         "--blocking-storage",
         choices=("memory", "disk"),
         default=None,
@@ -350,23 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--dataset", required=True, help="batch CSV path"
     )
     stream_ingest.add_argument("--id-column", default="id")
-    stream_ingest.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="override the stream's scoring workers for this ingest",
-    )
-    stream_ingest.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="override the stream's comparison shard count for this ingest",
-    )
-    stream_ingest.add_argument(
-        "--no-columnar",
-        action="store_true",
-        help="disable columnar batch-kernel scoring for this ingest",
-    )
 
     stream_snapshot = stream_commands.add_parser(
         "snapshot", help="print the clusters of the latest snapshot"
@@ -527,25 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--threshold", type=float, default=0.8, help="match threshold"
-    )
-    trace.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="processes for sharded comparison scoring (traced as "
-             "comparison.shard spans; default serial)",
-    )
-    trace.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="comparison shard count (default: 4 x workers)",
-    )
-    trace.add_argument(
-        "--no-columnar",
-        action="store_true",
-        help="trace the scalar comparison loop instead of the columnar "
-             "batch kernels",
     )
     trace.add_argument(
         "--blocking-storage",
@@ -1003,18 +945,6 @@ def _stream_config_from_args(args: argparse.Namespace) -> dict:
         "threshold": args.threshold,
         "preparers": preparers,
     }
-    # Only the flags actually given land in the config;
-    # ParallelConfig.from_dict turns a bare shard count into
-    # "all cores" so --shards alone engages.
-    parallelism = {}
-    if args.workers is not None:
-        parallelism["workers"] = args.workers
-    if args.shards is not None:
-        parallelism["shards"] = args.shards
-    if parallelism:
-        config["parallelism"] = parallelism
-    if getattr(args, "no_columnar", False):
-        config["columnar"] = False
     if getattr(args, "blocking_storage", None):
         config["blocking_storage"] = args.blocking_storage
     if getattr(args, "graph", False):
@@ -1042,13 +972,6 @@ def _command_stream_ingest(args: argparse.Namespace, fmt: CsvFormat) -> int:
 
     with FrostStore(args.store) as store:
         session = open_session(store, args.name)
-        if args.workers is not None or args.shards is not None:
-            # with_parallelism handles a bare --shards (engages all cores)
-            session.pipeline = session.pipeline.with_parallelism(
-                workers=args.workers, shards=args.shards
-            )
-        if args.no_columnar:
-            session.pipeline = session.pipeline.with_columnar(False)
         batch = _load_dataset(args.dataset, args.id_column, fmt)
         snapshot = session.ingest(batch)
         print(
@@ -1221,14 +1144,6 @@ def _command_trace(args: argparse.Namespace, fmt: CsvFormat) -> int:
         if args.blocking_storage:
             trace_config["blocking_storage"] = args.blocking_storage
         pipeline, _ = build_pipeline_and_index(trace_config)
-        if args.workers is not None or args.shards is not None:
-            # min_pairs=0: tracing runs exist to show the parallel path,
-            # so the small-batch serial fast path must not swallow it.
-            pipeline = pipeline.with_parallelism(
-                workers=args.workers, shards=args.shards, min_pairs=0
-            )
-        if args.no_columnar:
-            pipeline = pipeline.with_columnar(False)
 
         engine = ExperimentEngine(platform, max_workers=2)
         with tracer.span(
@@ -1295,9 +1210,6 @@ def _command_trace(args: argparse.Namespace, fmt: CsvFormat) -> int:
                 context={
                     "dataset": dataset.name,
                     "records": len(dataset),
-                    "workers": args.workers,
-                    "shards": args.shards,
-                    "columnar": not args.no_columnar,
                     "repeat": args.repeat,
                 },
             )

@@ -22,12 +22,6 @@ equality is string equality, and every derivation equals what the
 scalar measures in :mod:`repro.matching.similarity` would compute for
 the same strings — the foundation of the kernels' byte-identical
 scoring guarantee.
-
-Stores pickle compactly (only the pool, the row ids, and the columns
-travel; derived arrays are rebuilt lazily on the other side), and
-:meth:`ColumnarStore.slice` cuts the per-shard wire payload for
-:mod:`repro.matching.parallel` down to exactly the rows a shard
-touches.
 """
 
 from __future__ import annotations
@@ -287,55 +281,6 @@ class ColumnarStore:
                 codes[vid] = code_id
             self._soundex = codes
         return self._soundex
-
-    # -- slicing and the wire -----------------------------------------------
-
-    def slice(self, record_ids: Iterable[str]) -> "ColumnarStore":
-        """A compact sub-store holding only ``record_ids`` (in order).
-
-        The value pool is re-interned down to the values those rows
-        actually reference — the per-shard wire payload of the parallel
-        comparison stage ships column slices instead of per-record
-        dicts.
-        """
-        ordered = list(record_ids)
-        rows = np.fromiter(
-            (self._row_of[record_id] for record_id in ordered),
-            dtype=np.int64,
-            count=len(ordered),
-        )
-        remap: dict[int, int] = {NULL_VID: NULL_VID}
-        values: list[str | None] = [None]
-        columns: dict[str, np.ndarray] = {}
-        for attribute in self.attributes:
-            old = self._columns[attribute][rows]
-            new = np.empty(len(old), dtype=np.int32)
-            for position, vid in enumerate(old.tolist()):
-                mapped = remap.get(vid)
-                if mapped is None:
-                    mapped = len(values)
-                    remap[vid] = mapped
-                    values.append(self._values[vid])
-                new[position] = mapped
-            columns[attribute] = new
-        return ColumnarStore(self.attributes, ordered, values, columns)
-
-    def __getstate__(self) -> dict[str, object]:
-        """Pickle only the columns; derived arrays rebuild lazily."""
-        return {
-            "attributes": self.attributes,
-            "row_ids": self.row_ids,
-            "values": self._values,
-            "columns": self._columns,
-        }
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        self.__init__(
-            state["attributes"],
-            state["row_ids"],
-            state["values"],
-            state["columns"],
-        )
 
     def __repr__(self) -> str:
         return (

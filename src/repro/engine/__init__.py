@@ -14,11 +14,6 @@ of recomputed.
 """
 
 from repro.engine.cache import MISS, ResultCache
-from repro.engine.executors import (
-    ProcessExecutor,
-    SerialExecutor,
-    executor_for,
-)
 from repro.engine.jobs import (
     JobResult,
     JobSpec,
@@ -44,13 +39,10 @@ __all__ = [
     "JobResult",
     "JobSpec",
     "JobState",
-    "ProcessExecutor",
     "ResultCache",
-    "SerialExecutor",
     "content_fingerprint",
     "dataset_fingerprint",
     "expand_sweep",
-    "executor_for",
     "experiment_fingerprint",
     "gold_fingerprint",
     "serialize_experiment",

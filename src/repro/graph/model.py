@@ -216,11 +216,18 @@ class MatchGraph:
                     break
                 frontier = next_frontier
             visited = sorted(hops)
-            edges = [
-                self._edge_row(first, second)
-                for (first, second), (score, accepted) in sorted(self._edges.items())
-                if first in hops and second in hops
+            # gather from the visited nodes' adjacency (each edge is seen
+            # from both ends, hence the canonical-pair set), so the cost
+            # tracks the neighbourhood, not the whole edge table
+            keys = {
+                (node, neighbor) if node < neighbor else (neighbor, node)
+                for node in hops
+                for neighbor, score, accepted in self._adjacency[node]
+                if neighbor in hops
                 and self._eligible(score, accepted, threshold)
+            }
+            edges = [
+                self._edge_row(first, second) for first, second in sorted(keys)
             ]
             return {
                 "record": native_id,

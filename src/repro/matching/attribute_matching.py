@@ -7,14 +7,19 @@ step 4.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.core.pairs import Pair
 from repro.core.records import Dataset, Record
 from repro.matching.similarity import SIMILARITY_FUNCTIONS, Similarity
 
-__all__ = ["AttributeComparator", "SimilarityVector", "compare_pairs"]
+__all__ = [
+    "AttributeComparator",
+    "SimilarityVector",
+    "compare_pairs",
+    "resolve_candidates",
+]
 
 
 @dataclass(frozen=True)
@@ -119,3 +124,33 @@ def compare_pairs(
         comparator.compare(dataset[first], dataset[second])
         for first, second in ordered
     ]
+
+
+def resolve_candidates(
+    records, candidates: Iterable[Pair]
+) -> tuple[list[Pair], dict[str, Record], list[str]]:
+    """Sorted resolvable pairs, their records, and missing record ids.
+
+    ``records`` only needs item access by record id (a
+    :class:`~repro.core.records.Dataset`, a mapping, or the streaming
+    session's prepared view).  Pairs whose records were deleted between
+    blocking and scoring are dropped instead of raising ``KeyError`` —
+    the caller decides how loudly to report the returned missing ids.
+    """
+    ordered = sorted(candidates)
+    resolved: dict[str, Record] = {}
+    missing: set[str] = set()
+    # dict, not set: first-appearance order keeps downstream interning
+    # (and therefore the column stores) identical across hash seeds
+    for record_id in {rid: None for pair in ordered for rid in pair}:
+        try:
+            resolved[record_id] = records[record_id]
+        except KeyError:
+            missing.add(record_id)
+    if missing:
+        ordered = [
+            pair
+            for pair in ordered
+            if pair[0] not in missing and pair[1] not in missing
+        ]
+    return ordered, resolved, sorted(missing)

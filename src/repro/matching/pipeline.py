@@ -19,13 +19,24 @@ import time
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 
+from repro.columnar import (
+    ColumnarStore,
+    compare_block,
+    count_fallback,
+    count_store_build,
+    plan_for,
+)
 from repro.core.experiment import Experiment, Match
 from repro.core.pairs import Pair, ScoredPair
 from repro.core.records import Dataset, Record
-from repro.matching.attribute_matching import AttributeComparator, SimilarityVector
+from repro.matching.attribute_matching import (
+    AttributeComparator,
+    SimilarityVector,
+    compare_pairs,
+    resolve_candidates,
+)
 from repro.matching.clustering_algorithms import CLUSTERING_ALGORITHMS
 from repro.matching.fusion import fuse_dataset
-from repro.matching.parallel import ParallelConfig, compare_pairs_sharded
 from repro.telemetry import metrics as _telemetry_metrics
 from repro.telemetry import spans as _tracing
 
@@ -43,6 +54,10 @@ _MATCHES_ACCEPTED = _telemetry_metrics.get_metrics().counter(
     "frost_clustering_matches_total",
     "Matches emitted by the clustering stage (direct + transitive)",
 )
+_PAIRS_COMPARED = _telemetry_metrics.get_metrics().counter(
+    "frost_comparison_pairs_total",
+    "Candidate pairs scored by the similarity comparison stage",
+)
 _DISK_FALLBACKS = _telemetry_metrics.get_metrics().counter(
     "frost_blocking_disk_fallback_total",
     "blocking_storage='disk' requests served by the in-memory path "
@@ -50,6 +65,10 @@ _DISK_FALLBACKS = _telemetry_metrics.get_metrics().counter(
 )
 
 _BLOCKING_STORAGES = ("memory", "disk")
+
+# Below this many pairs building a columnar store costs more than the
+# per-pair function calls it batches away; the scalar loop wins.
+COLUMNAR_MIN_PAIRS = 32
 
 
 def _coerce_blocking_storage(blocking_storage: str) -> str:
@@ -61,7 +80,13 @@ def _coerce_blocking_storage(blocking_storage: str) -> str:
         )
     return storage
 
-__all__ = ["PipelineRun", "MatchingPipeline", "normalize_whitespace", "lowercase_values"]
+__all__ = [
+    "COLUMNAR_MIN_PAIRS",
+    "PipelineRun",
+    "MatchingPipeline",
+    "normalize_whitespace",
+    "lowercase_values",
+]
 
 Preparer = Callable[[Record], Record]
 CandidateGenerator = Callable[[Dataset], set[Pair]]
@@ -84,19 +109,6 @@ def lowercase_values(record: Record) -> Record:
         for attribute, value in record.values.items()
     }
     return Record(record_id=record.record_id, values=lowered)
-
-
-def _coerce_parallelism(
-    parallelism: ParallelConfig | Mapping[str, object] | int | None,
-) -> ParallelConfig:
-    """Normalize the ``parallelism`` knob's accepted forms."""
-    if parallelism is None:
-        return ParallelConfig()
-    if isinstance(parallelism, ParallelConfig):
-        return parallelism
-    if isinstance(parallelism, int):
-        return ParallelConfig(workers=parallelism)
-    return ParallelConfig.from_dict(dict(parallelism))
 
 
 @dataclass
@@ -142,21 +154,6 @@ class MatchingPipeline:
         dataset.
     name / solution:
         Labels attached to the resulting experiment.
-    parallelism:
-        Sharded execution of the comparison stage: a
-        :class:`~repro.matching.parallel.ParallelConfig`, a plain
-        ``workers`` integer, or a ``{"workers": ..., "shards": ...}``
-        mapping (the JSON-config form).  The default keeps the serial
-        path.  Parallel output is byte-identical to serial, so this
-        knob is deliberately absent from :meth:`config_fingerprint` —
-        the engine's result cache must not distinguish runs that
-        cannot differ.
-    columnar:
-        Route the comparison stage through the batch kernels of
-        :mod:`repro.columnar` when every configured measure has one
-        (default on).  Kernel scores are byte-identical to the scalar
-        measures, so — exactly like ``parallelism`` — this is an
-        execution knob, absent from :meth:`config_fingerprint`.
     blocking_storage:
         ``"memory"`` (default) runs the candidate generator as-is;
         ``"disk"`` pushes blocking into SQLite via
@@ -181,8 +178,6 @@ class MatchingPipeline:
         fusion_strategies: Mapping[str, object] | None = None,
         name: str = "pipeline-run",
         solution: str = "pipeline",
-        parallelism: ParallelConfig | Mapping[str, object] | int | None = None,
-        columnar: bool = True,
         blocking_storage: str = "memory",
     ) -> None:
         self.candidate_generator = candidate_generator
@@ -203,8 +198,6 @@ class MatchingPipeline:
         self.fusion_strategies = fusion_strategies
         self.name = name
         self.solution = solution
-        self.parallelism = _coerce_parallelism(parallelism)
-        self.columnar = bool(columnar)
         self.blocking_storage = _coerce_blocking_storage(blocking_storage)
 
     # -- stages (each one is a node of the job graph) ---------------------------
@@ -212,11 +205,10 @@ class MatchingPipeline:
     def prepare(self, dataset: Dataset) -> Dataset:
         """Step 1 — apply the record-level preparers in order.
 
-        When the columnar path is on and every configured measure has a
-        batch kernel, the prepared dataset's columnar layout (interned
-        columns plus the kernels' derived arrays) is built here too —
-        column stores pay layout cost at load time, so the comparison
-        stage is pure scoring.
+        When every configured measure has a batch kernel, the prepared
+        dataset's columnar layout (interned columns plus the kernels'
+        derived arrays) is built here too — column stores pay layout
+        cost at load time, so the comparison stage is pure scoring.
         """
         with _tracing.span("pipeline.prepare", records=len(dataset)):
             prepared_records = []
@@ -229,12 +221,9 @@ class MatchingPipeline:
                 prepared_records, name=f"{dataset.name}-prepared",
                 attributes=dataset.attributes,
             )
-            if self.columnar:
-                from repro.columnar import plan_for
-
-                plan = plan_for(self.comparator)
-                if plan is not None:
-                    plan.warm(prepared.columnar_store())
+            plan = plan_for(self.comparator)
+            if plan is not None:
+                plan.warm(prepared.columnar_store())
             return prepared
 
     def generate_candidates(self, prepared: Dataset) -> set[Pair]:
@@ -279,25 +268,29 @@ class MatchingPipeline:
         the streaming subsystem reuse this stage over its live record
         registry without materializing a :class:`Dataset`.
 
-        With :attr:`parallelism` configured, large candidate sets are
-        partitioned into deterministic shards and scored on a process
-        pool (:mod:`repro.matching.parallel`); the merged output is
-        byte-identical to the serial loop.  Pairs whose records were
-        deleted between blocking and scoring are skipped with a
-        warning instead of raising ``KeyError``.
+        Blocks of at least :data:`COLUMNAR_MIN_PAIRS` pairs are scored
+        by the batch kernels of :mod:`repro.columnar` when every
+        configured measure has one (:func:`repro.columnar.plan_for`);
+        anything else runs the scalar :func:`compare_pairs` loop.  The
+        kernels are byte-identical to the scalar measures, so the
+        choice changes speed, never output.  Pairs whose records were
+        deleted between blocking and scoring are skipped with a warning
+        instead of raising ``KeyError``.
         """
         with _tracing.span("pipeline.similarity") as span:
-            vectors, missing = compare_pairs_sharded(
-                prepared,
-                candidates,
-                self.comparator,
-                config=self.parallelism,
-                columnar=self.columnar,
-                # reuse the layout prepare() built; never built here —
-                # streaming registries and ad-hoc mappings pass None and
-                # the comparison stage interns just the touched records
-                store=getattr(prepared, "_columnar_store", None),
-            )
+            ordered, records, missing = resolve_candidates(prepared, candidates)
+            _PAIRS_COMPARED.inc(len(ordered))
+            plan = None
+            if len(ordered) >= COLUMNAR_MIN_PAIRS:
+                plan = plan_for(self.comparator)
+                if plan is None:
+                    count_fallback(len(ordered))
+            if plan is None:
+                with _tracing.span("comparison.serial", pairs=len(ordered)):
+                    vectors = compare_pairs(records, ordered, self.comparator)
+            else:
+                store = self._comparison_store(prepared, records)
+                vectors = compare_block(store, ordered, plan)
             span.annotate(vectors=len(vectors), missing=len(missing))
         if missing:
             _LOGGER.warning(
@@ -307,6 +300,25 @@ class MatchingPipeline:
                 ", ".join(missing[:10]) + ("…" if len(missing) > 10 else ""),
             )
         return vectors
+
+    def _comparison_store(self, prepared, records) -> ColumnarStore:
+        """The columnar layout covering ``records`` for the kernels.
+
+        Reuses the layout :meth:`prepare` cached on the dataset when it
+        holds every resolved record and compared attribute; streaming
+        registries and ad-hoc mappings carry none, so just the touched
+        records are interned.  Kernels read interned *values*, not row
+        positions, so either store gives the same scores.
+        """
+        store = getattr(prepared, "_columnar_store", None)
+        if (
+            store is None
+            or any(a not in store.attributes for a in self.comparator.attributes)
+            or any(record_id not in store for record_id in records)
+        ):
+            store = ColumnarStore.from_records(records, self.comparator.attributes)
+            count_store_build()
+        return store
 
     def score_vectors(
         self, vectors: Sequence[SimilarityVector]
@@ -404,54 +416,10 @@ class MatchingPipeline:
 
     # -- engine integration -----------------------------------------------------
 
-    def with_parallelism(
-        self,
-        workers: int | None = None,
-        shards: int | None = None,
-        min_pairs: int | None = None,
-    ) -> "MatchingPipeline":
-        """A shallow copy with the given sharded-execution settings.
-
-        Shares every stage object (comparator, decision model, …) with
-        the original — only the execution strategy differs, never the
-        output.  Used by the engine and CLI to apply per-invocation
-        ``--workers``/``--shards`` overrides without mutating a shared
-        pipeline.
-
-        A ``shards`` override against a serial base still means "go
-        parallel": the worker count defaults to all cores (``0``) so
-        the requested sharding is not a silent no-op — the same rule
-        :meth:`ParallelConfig.from_dict` applies to JSON configs.
-        """
-        base = self.parallelism
-        if workers is None and shards is not None and base.resolved_workers() == 1:
-            workers = 0
-        clone = copy.copy(self)
-        clone.parallelism = ParallelConfig(
-            workers=base.workers if workers is None else workers,
-            shards=base.shards if shards is None else shards,
-            min_pairs=base.min_pairs if min_pairs is None else min_pairs,
-        )
-        return clone
-
-    def with_columnar(self, columnar: bool) -> "MatchingPipeline":
-        """A shallow copy with kernelized comparison switched on/off.
-
-        Like :meth:`with_parallelism` this only changes *how* the
-        comparison stage executes, never its output — the batch
-        kernels are byte-identical to the scalar measures (and the
-        stage falls back to the scalar loop whenever a configured
-        measure has no kernel).
-        """
-        clone = copy.copy(self)
-        clone.columnar = bool(columnar)
-        return clone
-
     def with_blocking_storage(self, blocking_storage: str) -> "MatchingPipeline":
         """A shallow copy with blocking routed to memory or disk.
 
-        Like :meth:`with_parallelism` and :meth:`with_columnar` this
-        only changes *how* candidate generation executes, never its
+        This only changes *how* candidate generation executes, never its
         output — the SQL-pushdown plans produce candidate sets
         identical to the in-memory blockers (and generators without a
         plan fall back to the in-memory call).
@@ -463,12 +431,12 @@ class MatchingPipeline:
     def with_blocker(self, candidate_generator: CandidateGenerator) -> "MatchingPipeline":
         """A shallow copy running a different candidate generator.
 
-        Unlike :meth:`with_parallelism` this **changes the output**, so
-        it also changes :meth:`config_fingerprint` (the generator is
-        part of the token): the engine's result cache distinguishes a
-        token-blocked run from an LSH-blocked run of the same pipeline,
-        and two LSH configs from each other — provided the generator
-        exposes a ``config_fingerprint`` (as
+        Unlike :meth:`with_blocking_storage` this **changes the
+        output**, so it also changes :meth:`config_fingerprint` (the
+        generator is part of the token): the engine's result cache
+        distinguishes a token-blocked run from an LSH-blocked run of
+        the same pipeline, and two LSH configs from each other —
+        provided the generator exposes a ``config_fingerprint`` (as
         :class:`~repro.matching.lsh.LshBlocking` does) or is a named
         module-level function.
         """
@@ -482,12 +450,10 @@ class MatchingPipeline:
         Used by :mod:`repro.engine` to content-address pipeline job
         results.  Callables are tokenized by qualified name, so custom
         steps should be module-level functions (not lambdas closing
-        over differing constants).  :attr:`parallelism`,
-        :attr:`columnar`, and :attr:`blocking_storage` are deliberately
-        excluded: sharded, kernelized, and disk-backed execution are
-        byte-identical to the serial in-memory path, and a fingerprint
-        that varied with them would split the cache across entries that
-        hold the same result.
+        over differing constants).  :attr:`blocking_storage` is
+        deliberately excluded: disk-backed blocking is identical to the
+        in-memory path, and a fingerprint that varied with it would
+        split the cache across entries that hold the same result.
         """
         from repro.engine.jobs import content_fingerprint
 

@@ -46,12 +46,8 @@ The ``/jobs`` routes are served by the execution engine
 re-submissions are answered from the content-addressed result cache.
 The ``/streams`` routes front the incremental streaming subsystem
 (:mod:`repro.streaming`): each batch POST runs as a ``stream_ingest``
-engine job and returns the new versioned clustering snapshot.  A
-stream's JSON config may carry a ``"parallelism"`` object
-(``{"workers": 4, "shards": 16}``, see
-:mod:`repro.streaming.config`) to score delta batches on a sharded
-process pool; ``GET /streams/{s}`` reports it, and the scored output
-is byte-identical to a serial session's.  The config's ``"key"`` may
+engine job and returns the new versioned clustering snapshot.  The
+stream config's ``"key"`` (see :mod:`repro.streaming.config`) may
 select approximate MinHash-LSH blocking (``{"kind": "lsh",
 "num_perm": 128, "bands": 32}``, see :mod:`repro.matching.lsh`);
 malformed blocker configs — unknown keys, non-integer values, bands

@@ -149,7 +149,7 @@ def _make_handler(api: FrostApi) -> type[BaseHTTPRequestHandler]:
             # echoed back as X-Request-Id and bound to this handler
             # thread (plus the request span) so every log line and span
             # the request produces — here, in the serving layer, on
-            # engine workers, in folded process-pool shards — shares it.
+            # engine workers — shares it.
             request_id = (
                 (self.headers.get("X-Request-Id") or "").strip()
                 or new_request_id()

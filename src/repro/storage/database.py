@@ -12,6 +12,7 @@ assignments.
 from __future__ import annotations
 
 import json
+import logging
 import sqlite3
 import threading
 import time
@@ -25,6 +26,8 @@ from repro.core.pairs import make_pair
 from repro.core.records import Dataset, Record
 from repro.telemetry.metrics import get_metrics
 from repro.telemetry.store import TELEMETRY_SCHEMA, TelemetryStore
+
+_LOGGER = logging.getLogger(__name__)
 
 __all__ = ["FrostStore", "StorageError", "SCHEMA_VERSION"]
 
@@ -606,13 +609,25 @@ class FrostStore:
         Backs the engine's content-addressed result cache
         (:mod:`repro.engine.cache`): keys are digests of dataset +
         config + gold-standard content, payloads are JSON documents.
+        A payload that no longer decodes (a torn or hand-edited row) is
+        a miss, not an error: the job recomputes and :meth:`cache_put`
+        overwrites the row.
         """
         with self._lock:
             row = self._connection.execute(
                 "SELECT payload FROM result_cache WHERE cache_key = ?",
                 (cache_key,),
             ).fetchone()
-        return None if row is None else json.loads(row[0])
+        if row is None:
+            return None
+        try:
+            return json.loads(row[0])
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            _LOGGER.warning(
+                "result_cache row %s does not decode; treating it as a miss",
+                cache_key,
+            )
+            return None
 
     def cache_put(self, cache_key: str, kind: str, payload: object) -> None:
         """Persist ``payload`` (JSON-serializable) under ``cache_key``."""

@@ -21,14 +21,6 @@ store when a durable session is resumed.  Schema::
       "similarities": {"name": "jaro_winkler", "zip": "exact"},
       "threshold": 0.6,
       "preparers": ["normalize_whitespace"],
-      "parallelism": {                # optional sharded delta scoring
-        "workers": 4,                 # 0/null = all cores, 1 = serial
-        "shards": 16,                 # default: 4 x workers
-        "min_pairs": 2048             # serial below this delta size
-      },
-      "columnar": true,               # optional: batch-kernel delta
-                                      # scoring (default on; output is
-                                      # byte-identical either way)
       "blocking_storage": "disk",     # optional: "memory" (default) or
                                       # "disk" — SQLite-backed blocking
                                       # (identical candidates, bounded
@@ -71,7 +63,6 @@ from repro.matching.pipeline import (
     lowercase_values,
     normalize_whitespace,
 )
-from repro.matching.parallel import ParallelConfig
 from repro.matching.similarity import SIMILARITY_FUNCTIONS
 from repro.streaming.delta_blocking import (
     IncrementalBlockingIndex,
@@ -163,22 +154,12 @@ def validate_config(config: Mapping[str, object]) -> dict[str, object]:
         if name not in PREPARERS:
             known = ", ".join(sorted(PREPARERS))
             raise ValueError(f"unknown preparer {name!r}; known: {known}")
-    # from_dict validates shape and key names; round-tripping through
-    # ParallelConfig normalizes the stored document.
-    parallelism = ParallelConfig.from_dict(config.get("parallelism"))
     normalized = {
         "key": dict(key),
         "similarities": dict(similarities),
         "threshold": threshold,
         "preparers": list(preparers),
     }
-    if config.get("parallelism") is not None:
-        normalized["parallelism"] = parallelism.as_dict()
-    columnar = config.get("columnar", True)
-    if not isinstance(columnar, bool):
-        raise ValueError("config.columnar must be a boolean")
-    if "columnar" in config:
-        normalized["columnar"] = columnar
     blocking_storage = config.get("blocking_storage", "memory")
     if blocking_storage not in ("memory", "disk"):
         raise ValueError(
@@ -339,8 +320,6 @@ def _build_pipeline_and_index(
         clustering="connected_components",
         name="streaming-config",
         solution="streaming",
-        parallelism=ParallelConfig.from_dict(config.get("parallelism")),
-        columnar=bool(config.get("columnar", True)),
         blocking_storage=storage,
     )
     return pipeline, _delta_index(key, storage)

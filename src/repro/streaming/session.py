@@ -251,8 +251,6 @@ class StreamingMatcher:
                 "graph": (
                     self._graph.graph.name if self._graph is not None else None
                 ),
-                "parallelism": self.pipeline.parallelism.as_dict(),
-                "columnar": self.pipeline.columnar,
                 "blocking_storage": self.pipeline.blocking_storage,
                 "latest": latest,
                 "snapshots": [s.as_dict() for s in self._snapshots],
@@ -316,13 +314,9 @@ class StreamingMatcher:
         Only the delta work is performed: the batch is prepared, delta
         candidates are drawn from the index, scored with the pipeline's
         comparator and decision model, and accepted matches (``score >=
-        threshold``) are unioned into the persistent clustering.  When
-        the pipeline carries a parallelism config, large delta batches
-        are scored on a sharded process pool
-        (:mod:`repro.matching.parallel`) with output identical to the
-        serial path.  Thread-safe (ingests serialize on an internal
-        lock) so batches may be submitted through the engine's worker
-        pool.
+        threshold``) are unioned into the persistent clustering.
+        Thread-safe (ingests serialize on an internal lock) so batches
+        may be submitted through the engine's worker pool.
         """
         batch = (
             list(records)

@@ -1,7 +1,7 @@
 """Low-overhead span tracing for pipeline and serving observability.
 
 A *span* is one named, timed unit of work — a pipeline stage, an engine
-job, a comparison shard — with free-form annotations (record counts,
+job, a comparison block — with free-form annotations (record counts,
 cache hits) and child spans.  :class:`Tracer` maintains a thread-local
 span stack, so nesting falls out of lexical structure::
 
@@ -16,10 +16,9 @@ because a thread-local stack does not follow the work:
   thread, then wrap the worker-side execution in
   :meth:`Tracer.activate`; the engine's job runner does exactly this,
   so job spans hang off the span that submitted them;
-* **process pools** — a worker process cannot share the parent's span
-  tree at all, so externally-timed work is folded back in with
-  :meth:`Tracer.record` (the comparison-shard workers time themselves
-  and the parent records one completed child span per shard).
+* **other processes** — work timed where the parent's span tree is
+  out of reach is folded back in with :meth:`Tracer.record`, one
+  completed child span per measurement.
 
 Tracing is **disabled by default** and must stay near-free that way:
 the pipeline's hot paths call :func:`span` unconditionally, so a
@@ -227,9 +226,8 @@ class Tracer:
     ) -> Span | None:
         """Fold externally-timed work in as one completed child span.
 
-        For work that ran where this tracer could not see it — a
-        process-pool shard, a remote call — but whose duration the
-        caller knows.  No-op while disabled.
+        For work that ran where this tracer could not see it — another
+        process, a remote call — but whose duration the caller knows.  No-op while disabled.
         """
         if not self.enabled:
             return None

@@ -1,20 +1,23 @@
-"""Columnar/scalar equivalence: serial, sharded, fallback, and wiring."""
+"""Columnar/scalar equivalence: kernels vs. the scalar loop, fallback, wiring."""
 
 import random
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.pairs import make_pair
 from repro.core.records import Dataset, Record
-from repro.engine.executors import SerialExecutor
-from repro.matching.attribute_matching import AttributeComparator
-from repro.matching.parallel import (
-    COLUMNAR_MIN_PAIRS,
-    ParallelConfig,
-    compare_pairs_sharded,
+from repro.matching.attribute_matching import (
+    AttributeComparator,
+    compare_pairs,
+    resolve_candidates,
 )
 from repro.matching.blocking import first_token_key, standard_blocking
-from repro.matching.pipeline import MatchingPipeline
+from repro.matching.pipeline import COLUMNAR_MIN_PAIRS, MatchingPipeline
+from repro.matching.similarity import SIMILARITY_FUNCTIONS
+from repro.telemetry import get_tracer
 from repro.telemetry.metrics import get_metrics
 
 FIRST = ["alice", "alicia", "bob", "robert", "carol", "karol", "dave"]
@@ -49,6 +52,27 @@ def comparator():
     })
 
 
+def pipeline(comparator_=None):
+    return MatchingPipeline(
+        candidate_generator=lambda d: standard_blocking(
+            d, first_token_key("last_name")
+        ),
+        comparator=comparator_ or comparator(),
+        decision_model=lambda v: v.mean(),
+        threshold=0.8,
+    )
+
+
+def scalar(records, pairs, comparator_=None):
+    """The scalar oracle: the per-pair loop over the resolvable pairs."""
+    ordered, resolved, _ = resolve_candidates(records, pairs)
+    return compare_pairs(resolved, ordered, comparator_ or comparator())
+
+
+def kernel_pairs():
+    return get_metrics().counter("frost_kernel_pairs_total").value
+
+
 def bits(value):
     return None if value is None else struct.pack("<d", value)
 
@@ -74,66 +98,92 @@ def candidates(dataset):
     return standard_blocking(dataset, first_token_key("last_name"))
 
 
-class TestSerialEquivalence:
-    def test_columnar_serial_matches_scalar_serial(self, dataset, candidates):
-        scalar, missing_a = compare_pairs_sharded(
-            dataset, candidates, comparator(), columnar=False
-        )
-        fast, missing_b = compare_pairs_sharded(
-            dataset, candidates, comparator(), columnar=True
-        )
-        assert missing_a == missing_b == []
+class TestKernelEquivalence:
+    def test_compare_candidates_matches_scalar_loop(self, dataset, candidates):
+        before = kernel_pairs()
+        fast = pipeline().compare_candidates(dataset, candidates)
         assert len(fast) >= COLUMNAR_MIN_PAIRS
-        assert_identical(scalar, fast)
+        assert kernel_pairs() - before == len(fast)  # the kernels ran
+        assert_identical(scalar(dataset, candidates), fast)
 
     def test_small_blocks_fall_back_to_scalar_loop(self, dataset):
         # below the gate the scalar loop runs; output identical anyway
         pairs = sorted(
             standard_blocking(dataset, first_token_key("last_name"))
         )[: COLUMNAR_MIN_PAIRS - 1]
-        scalar, _ = compare_pairs_sharded(
-            dataset, pairs, comparator(), columnar=False
-        )
-        fast, _ = compare_pairs_sharded(
-            dataset, pairs, comparator(), columnar=True
-        )
-        assert_identical(scalar, fast)
+        before = kernel_pairs()
+        fast = pipeline().compare_candidates(dataset, pairs)
+        assert kernel_pairs() == before
+        assert_identical(scalar(dataset, pairs), fast)
+
+    def test_record_mapping_without_store(self, dataset, candidates):
+        # streaming passes a plain id -> record mapping: the stage
+        # interns just the touched records
+        registry = {record.record_id: record for record in dataset}
+        fast = pipeline().compare_candidates(registry, candidates)
+        assert_identical(scalar(dataset, candidates), fast)
+
+    def test_prepared_layout_reused(self, dataset, candidates):
+        pipe = pipeline()
+        prepared = pipe.prepare(dataset)
+        builds = get_metrics().counter("frost_kernel_store_builds_total")
+        before = builds.value
+        fast = pipe.compare_candidates(prepared, candidates)
+        assert builds.value == before  # prepare() built the layout
+        assert_identical(scalar(prepared, candidates), fast)
 
 
-class TestShardedEquivalence:
-    def test_columnar_shards_match_scalar_serial(self, dataset, candidates):
-        scalar, _ = compare_pairs_sharded(
-            dataset, candidates, comparator(), columnar=False
-        )
-        sharded, _ = compare_pairs_sharded(
-            dataset,
-            candidates,
-            comparator(),
-            config=ParallelConfig(workers=4, shards=7, min_pairs=0),
-            executor=SerialExecutor(),
-            columnar=True,
-        )
-        assert_identical(scalar, sharded)
+class TestDispatch:
+    """Which path runs is decided by block size alone, at the gate."""
 
-    def test_columnar_shards_match_scalar_shards(self, dataset, candidates):
-        config = ParallelConfig(workers=2, shards=5, min_pairs=0)
-        scalar, _ = compare_pairs_sharded(
-            dataset,
-            candidates,
-            comparator(),
-            config=config,
-            executor=SerialExecutor(),
-            columnar=False,
-        )
-        fast, _ = compare_pairs_sharded(
-            dataset,
-            candidates,
-            comparator(),
-            config=config,
-            executor=SerialExecutor(),
-            columnar=True,
-        )
-        assert_identical(scalar, fast)
+    @pytest.mark.parametrize(
+        "count, span_name",
+        [
+            (0, "comparison.serial"),
+            (1, "comparison.serial"),
+            (COLUMNAR_MIN_PAIRS - 1, "comparison.serial"),
+            (COLUMNAR_MIN_PAIRS, "comparison.columnar"),
+            (COLUMNAR_MIN_PAIRS + 1, "comparison.columnar"),
+        ],
+        ids=["empty", "one", "below-gate", "at-gate", "above-gate"],
+    )
+    def test_block_size_selects_the_path(self, dataset, candidates, count, span_name):
+        pairs = sorted(candidates)[:count]
+        assert len(pairs) == count
+        compared = get_metrics().counter("frost_comparison_pairs_total")
+        before = compared.value
+        tracer = get_tracer()
+        tracer.reset()
+        tracer.enable()
+        try:
+            fast = pipeline().compare_candidates(dataset, pairs)
+        finally:
+            tracer.disable()
+        (similarity,) = [
+            span for span in tracer.roots() if span.name == "pipeline.similarity"
+        ]
+        assert [child.name for child in similarity.children] == [span_name]
+        assert similarity.children[0].annotations["pairs"] == count
+        assert similarity.annotations["vectors"] == count
+        tracer.reset()
+        assert compared.value - before == count
+        assert_identical(scalar(dataset, pairs), fast)
+
+    def test_attribute_absent_from_dataset_scores_none(self, dataset, candidates):
+        """A compared attribute the prepared layout lacks forces a fresh
+        store; both paths report the missing attribute as ``None``."""
+        wider = AttributeComparator({
+            "first_name": "jaro_winkler",
+            "nickname": "jaro_winkler",
+        })
+        pipe = pipeline(wider)
+        prepared = pipe.prepare(dataset)
+        builds = get_metrics().counter("frost_kernel_store_builds_total")
+        before = builds.value
+        fast = pipe.compare_candidates(prepared, candidates)
+        assert builds.value == before + 1
+        assert fast and all(v.values["nickname"] is None for v in fast)
+        assert_identical(scalar(prepared, candidates, wider), fast)
 
 
 class TestFallback:
@@ -146,73 +196,33 @@ class TestFallback:
         )
         fallback = get_metrics().counter("frost_kernel_fallback_pairs_total")
         before = fallback.value
-        vectors, _ = compare_pairs_sharded(
-            dataset, candidates, mixed, columnar=True
-        )
+        vectors = pipeline(mixed).compare_candidates(dataset, candidates)
         assert fallback.value > before
         assert all(
             vector.values["last_name"] in (0.25, None) for vector in vectors
         )
+        assert_identical(scalar(dataset, candidates, mixed), vectors)
 
-    def test_missing_records_reported_same_as_scalar(self, dataset):
+    def test_missing_records_skipped_same_as_scalar(self, dataset):
         pairs = sorted(
             standard_blocking(dataset, first_token_key("last_name"))
         )
         pairs.append(("p0000", "zz-gone"))
-        scalar, missing_a = compare_pairs_sharded(
-            dataset, pairs, comparator(), columnar=False
-        )
-        fast, missing_b = compare_pairs_sharded(
-            dataset, pairs, comparator(), columnar=True
-        )
-        assert missing_a == missing_b == ["zz-gone"]
-        assert_identical(scalar, fast)
+        _, _, missing = resolve_candidates(dataset, pairs)
+        assert missing == ["zz-gone"]
+        fast = pipeline().compare_candidates(dataset, pairs)
+        assert all("zz-gone" not in vector.pair for vector in fast)
+        assert_identical(scalar(dataset, pairs), fast)
 
 
-class TestPipelineKnob:
-    def test_with_columnar_off_is_byte_identical(self, dataset):
-        def build(columnar):
-            return MatchingPipeline(
-                candidate_generator=lambda d: standard_blocking(
-                    d, first_token_key("last_name")
-                ),
-                comparator=comparator(),
-                decision_model=lambda v: v.mean(),
-                threshold=0.8,
-                columnar=columnar,
-            )
-
-        fast = build(True).run(dataset)
-        slow = build(False).run(dataset)
-        assert_identical(fast.vectors, slow.vectors)
+class TestPipelineRun:
+    def test_run_matches_scalar_loop(self, dataset):
+        run = pipeline().run(dataset)
+        slow = scalar(run.prepared, run.candidates)
+        assert_identical(run.vectors, slow)
         assert [
-            (sp.pair, bits(sp.score)) for sp in fast.scored_pairs
-        ] == [(sp.pair, bits(sp.score)) for sp in slow.scored_pairs]
-        assert fast.experiment.matches == slow.experiment.matches
-
-    def test_with_columnar_returns_clone(self, dataset):
-        pipeline = MatchingPipeline(
-            candidate_generator=lambda d: set(),
-            comparator=comparator(),
-            decision_model=lambda v: v.mean(),
-        )
-        assert pipeline.columnar is True
-        clone = pipeline.with_columnar(False)
-        assert clone is not pipeline
-        assert clone.columnar is False
-        assert pipeline.columnar is True
-        assert clone.comparator is pipeline.comparator
-
-    def test_fingerprint_ignores_columnar(self):
-        pipeline = MatchingPipeline(
-            candidate_generator=standard_blocking,
-            comparator=comparator(),
-            decision_model=lambda v: v.mean(),
-        )
-        assert (
-            pipeline.config_fingerprint()
-            == pipeline.with_columnar(False).config_fingerprint()
-        )
+            (sp.pair, bits(sp.score)) for sp in run.scored_pairs
+        ] == [(vector.pair, bits(vector.mean())) for vector in slow]
 
 
 class TestTelemetry:
@@ -226,7 +236,33 @@ class TestTelemetry:
             distinct_counter.value,
             builds_counter.value,
         )
-        compare_pairs_sharded(dataset, candidates, comparator(), columnar=True)
+        pipeline().compare_candidates(dataset, candidates)
         assert pairs_counter.value > before[0]
         assert distinct_counter.value > before[1]
         assert builds_counter.value > before[2]
+
+
+VALUES = st.one_of(
+    st.none(),
+    st.sampled_from(FIRST + LAST + CITY + ["10115", "12.5", "-3", "nan"]),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(VALUES, min_size=9, max_size=16))
+def test_kernels_match_scalar_loop_on_arbitrary_values(values):
+    """Every built-in measure, all pairs of arbitrary (null, empty,
+    numeric-looking, unicode) values: kernels equal the scalar loop."""
+    records = {
+        f"r{i:02d}": Record(
+            f"r{i:02d}", {name: value for name in SIMILARITY_FUNCTIONS}
+        )
+        for i, value in enumerate(values)
+    }
+    every = AttributeComparator({name: name for name in SIMILARITY_FUNCTIONS})
+    pairs = {make_pair(a, b) for a in records for b in records if a != b}
+    before = kernel_pairs()
+    fast = pipeline(every).compare_candidates(records, pairs)
+    assert kernel_pairs() - before == len(pairs)  # >= 36 pairs: kernels ran
+    assert_identical(scalar(records, pairs, every), fast)

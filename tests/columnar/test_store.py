@@ -1,6 +1,4 @@
-"""Tests for the columnar record store (interning, columns, slicing)."""
-
-import pickle
+"""Tests for the columnar record store (interning, columns, derived arrays)."""
 
 import numpy as np
 import pytest
@@ -158,31 +156,3 @@ class TestDerived:
         column = store.column("a")
         assert codes[column[0]] == codes[column[1]]  # both R163
         assert codes[column[2]] == 0  # sentinel
-
-
-class TestSliceAndWire:
-    def test_slice_keeps_requested_rows_in_order(self, store):
-        sliced = store.slice(["r3", "r1"])
-        assert sliced.row_ids == ("r3", "r1")
-        assert sliced.record("r1").value("name") == "alice smith"
-        assert sliced.record("r3").value("zip") is None
-
-    def test_slice_reinterns_compactly(self, store):
-        sliced = store.slice(["r3"])
-        # only "bob" remains in the pool
-        assert sliced.distinct_values == 1
-        assert sliced.value_of(int(sliced.column("name")[0])) == "bob"
-
-    def test_pickle_round_trip_drops_derived_state(self, store):
-        store.token_csr()  # populate a derived cache
-        clone = pickle.loads(pickle.dumps(store))
-        assert clone.row_ids == store.row_ids
-        assert clone._token_csr is None  # rebuilt lazily
-        for attribute in store.attributes:
-            np.testing.assert_array_equal(
-                clone.column(attribute), store.column(attribute)
-            )
-        indptr_a, ids_a = store.token_csr()
-        indptr_b, ids_b = clone.token_csr()
-        np.testing.assert_array_equal(indptr_a, indptr_b)
-        np.testing.assert_array_equal(ids_a, ids_b)

@@ -1,7 +1,7 @@
 """Property-based tests for :class:`PairCountingUnionFind`.
 
 The streaming subsystem keeps one union-find alive across ingests
-(``grow`` + ``union`` interleaved), and the parallel equivalence
+(``grow`` + ``union`` interleaved), and the delta/batch equivalence
 guarantee leans on clustering being insensitive to union order and
 repetition.  Hypothesis drives randomized operation sequences against
 a naive reference partition.

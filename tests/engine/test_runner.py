@@ -1,5 +1,8 @@
 """Tests for the parallel job runner: caching, sweeps, isolation."""
 
+import json
+import logging
+import sqlite3
 import threading
 
 import pytest
@@ -132,6 +135,37 @@ class TestCacheSemantics:
         with FrostStore(path) as store:
             warm = ExperimentEngine(platform, store=store)
             assert warm.run([JobSpec("metrics", params, job_id="a")])["a"].cached
+
+    def test_corrupt_store_row_is_a_miss(self, platform, tmp_path, caplog):
+        """A truncated result_cache payload must not fail the job: it
+        recomputes and the row is rewritten with the fresh result."""
+        path = tmp_path / "cache.db"
+        params = {"dataset": "people", "gold": "people-gold", "metrics": ["f1"]}
+        with FrostStore(path) as store:
+            cold = ExperimentEngine(platform, store=store)
+            first = cold.run([JobSpec("metrics", params, job_id="a")])["a"]
+        with sqlite3.connect(path) as raw:
+            raw.execute(
+                "UPDATE result_cache SET payload = "
+                "substr(payload, 1, length(payload) / 2) WHERE cache_key = ?",
+                (first.cache_key,),
+            )
+            (torn,) = raw.execute(
+                "SELECT payload FROM result_cache WHERE cache_key = ?",
+                (first.cache_key,),
+            ).fetchone()
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(torn)
+        with FrostStore(path) as store, caplog.at_level(
+            logging.WARNING, logger="repro.storage.database"
+        ):
+            warm = ExperimentEngine(platform, store=store)
+            again = warm.run([JobSpec("metrics", params, job_id="a")])["a"]
+            assert again.state is JobState.SUCCEEDED, again.error
+            assert again.cached is False
+            assert again.value == first.value
+            assert store.cache_get(first.cache_key) == first.value
+        assert any("does not decode" in m for m in caplog.messages)
 
     def test_uncacheable_spec_always_computes(self, engine):
         params = {"dataset": "people", "gold": "people-gold"}
@@ -304,6 +338,47 @@ class TestPipelineJobs:
         staged = results["graph:clustering"].value
         assert staged.pairs() == direct.pairs()
 
+    @pytest.mark.parametrize(
+        "retired",
+        [{"workers": 4, "shards": 8}, {"columnar": False}],
+        ids=["workers-shards", "columnar"],
+    )
+    def test_retired_execution_params_hit_same_cache(
+        self, engine, pipeline, retired
+    ):
+        """Job specs written for the removed sharding/columnar knobs still
+        run, and share the cache entry of the plain pipeline job."""
+        plain = engine.run(
+            [JobSpec("pipeline", {"pipeline": pipeline, "dataset": "people"},
+                     job_id="plain")]
+        )["plain"]
+        assert plain.state is JobState.SUCCEEDED and not plain.cached
+        old = engine.run(
+            [JobSpec(
+                "pipeline",
+                {"pipeline": pipeline, "dataset": "people", **retired},
+                job_id="old",
+            )]
+        )["old"]
+        assert old.state is JobState.SUCCEEDED, old.error
+        assert old.cached is True
+        assert old.cache_key == plain.cache_key
+        assert old.value == plain.value
+
+    def test_stage_graph_with_retired_params_matches_direct(
+        self, engine, pipeline
+    ):
+        graph = pipeline.as_job_graph("people", prefix="old", register=False)
+        for spec in graph:
+            if spec.job_id == "old:similarity":
+                spec.params.update(workers=2, shards=3, columnar=False)
+        results = engine.run(graph)
+        assert all(
+            result.state is JobState.SUCCEEDED for result in results.values()
+        ), {k: r.error for k, r in results.items()}
+        direct = pipeline.run(engine.platform.dataset("people")).experiment
+        assert results["old:clustering"].value.pairs() == direct.pairs()
+
     def test_duck_typed_comparator_still_fingerprints(self, engine, pipeline):
         class MeanComparator:
             def compare(self, first, second):
@@ -328,59 +403,6 @@ class TestPipelineJobs:
         )["duck"]
         assert result.state is JobState.SUCCEEDED, result.error
         assert "comparator" in duck.config_fingerprint()
-
-    def test_workers_override_hits_serial_cache(self, engine, pipeline):
-        """Parallelism cannot change the output, so it must not change
-        the cache key: a serial run's cached result serves a
-        4-worker re-submission of the same pipeline."""
-        serial = engine.run(
-            [JobSpec("pipeline", {"pipeline": pipeline, "dataset": "people"},
-                     job_id="serial")]
-        )["serial"]
-        assert serial.state is JobState.SUCCEEDED and not serial.cached
-        parallel = engine.run(
-            [JobSpec(
-                "pipeline",
-                {"pipeline": pipeline, "dataset": "people",
-                 "workers": 4, "shards": 8},
-                job_id="parallel",
-            )]
-        )["parallel"]
-        assert parallel.state is JobState.SUCCEEDED, parallel.error
-        assert parallel.cached is True
-        assert parallel.cache_key == serial.cache_key
-        assert parallel.value == serial.value
-
-    def test_columnar_override_hits_same_cache(self, engine, pipeline):
-        """Like workers/shards, the columnar knob is pure execution: a
-        kernelized run and a scalar run share one cache entry."""
-        fast = engine.run(
-            [JobSpec("pipeline", {"pipeline": pipeline, "dataset": "people"},
-                     job_id="col-on")]
-        )["col-on"]
-        assert fast.state is JobState.SUCCEEDED, fast.error
-        scalar = engine.run(
-            [JobSpec(
-                "pipeline",
-                {"pipeline": pipeline, "dataset": "people", "columnar": False},
-                job_id="col-off",
-            )]
-        )["col-off"]
-        assert scalar.state is JobState.SUCCEEDED, scalar.error
-        assert scalar.cache_key == fast.cache_key
-        assert scalar.value == fast.value
-
-    def test_stage_graph_with_workers_matches_serial(self, engine, pipeline):
-        graph = pipeline.as_job_graph("people", prefix="par", register=False)
-        for spec in graph:
-            if spec.job_id == "par:similarity":
-                spec.params.update(workers=2, shards=3)
-        results = engine.run(graph)
-        assert all(
-            result.state is JobState.SUCCEEDED for result in results.values()
-        ), {k: r.error for k, r in results.items()}
-        direct = pipeline.run(engine.platform.dataset("people")).experiment
-        assert results["par:clustering"].value.pairs() == direct.pairs()
 
     def test_job_graph_stage_order_is_dependency_driven(self, engine, pipeline):
         graph = pipeline.as_job_graph("people", prefix="g2", register=False)
@@ -408,8 +430,8 @@ class TestBlockerJobParam:
         )
 
     def test_blocker_override_changes_the_cache_key(self, engine, pipeline):
-        """Unlike workers/shards, a blocker override changes the output
-        — so it must split the cache, never share an entry."""
+        """Unlike blocking_storage, a blocker override changes the
+        output — so it must split the cache, never share an entry."""
         base = engine.run(
             [JobSpec("pipeline", {"pipeline": pipeline, "dataset": "people"},
                      job_id="base")]

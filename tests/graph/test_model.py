@@ -125,6 +125,79 @@ class TestNeighbors:
             graph.neighbors("ghost")
 
 
+def full_scan_neighbors(graph: MatchGraph, native_id: str, k: int, threshold):
+    """Oracle: k-hop BFS, then a sorted scan over *every* graph edge."""
+    origin = graph.node_of(native_id)
+    hops = {origin: 0}
+    frontier = [origin]
+    for hop in range(1, k + 1):
+        next_frontier = []
+        for node in frontier:
+            for neighbor, score, accepted in graph._adjacency[node]:
+                if neighbor in hops:
+                    continue
+                if graph._eligible(score, accepted, threshold):
+                    hops[neighbor] = hop
+                    next_frontier.append(neighbor)
+        if not next_frontier:
+            break
+        frontier = next_frontier
+    edges = [
+        graph._edge_row(first, second)
+        for (first, second), (score, accepted) in sorted(graph._edges.items())
+        if first in hops and second in hops
+        and graph._eligible(score, accepted, threshold)
+    ]
+    return {
+        "record": native_id,
+        "k": k,
+        "threshold": threshold,
+        "neighbors": [
+            {"record": graph._native[node], "hops": hops[node]}
+            for node in sorted(hops)
+        ],
+        "edges": edges,
+    }
+
+
+# coarse scores so ties with both thresholds are common
+SCORES = st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9])
+
+
+@st.composite
+def random_graphs(draw):
+    size = draw(st.integers(min_value=1, max_value=10))
+    nodes = [f"n{index}" for index in range(size)]
+    all_pairs = list(itertools.combinations(range(size), 2))
+    chosen = []
+    if all_pairs:
+        chosen = draw(st.lists(st.sampled_from(all_pairs), unique=True))
+    edges = []
+    for first, second in chosen:
+        if draw(st.booleans()):  # insert in either direction
+            first, second = second, first
+        edges.append((nodes[first], nodes[second], draw(SCORES)))
+    threshold = draw(SCORES)
+    return graph_of(edges, nodes=nodes, threshold=threshold)
+
+
+class TestNeighborsMatchFullScan:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        graph=random_graphs(),
+        data=st.data(),
+        k=st.integers(min_value=0, max_value=4),
+        threshold=st.none() | SCORES,
+    )
+    def test_adjacency_gather_matches_full_edge_scan(
+        self, graph, data, k, threshold
+    ):
+        origin = data.draw(st.sampled_from(graph.record_ids()))
+        assert graph.neighbors(origin, k=k, threshold=threshold) == (
+            full_scan_neighbors(graph, origin, k, threshold)
+        )
+
+
 class TestPath:
     def test_fewest_hops_path(self):
         graph = graph_of(

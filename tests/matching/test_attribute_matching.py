@@ -7,6 +7,7 @@ from repro.matching.attribute_matching import (
     AttributeComparator,
     SimilarityVector,
     compare_pairs,
+    resolve_candidates,
 )
 
 
@@ -79,3 +80,31 @@ class TestComparePairs:
             dataset, {("r2", "r0"), ("r0", "r1")}, comparator
         )
         assert [v.pair for v in vectors] == [("r0", "r1"), ("r0", "r2")]
+
+
+class TestResolveCandidates:
+    def test_empty_candidates(self):
+        assert resolve_candidates({}, set()) == ([], {}, [])
+
+    def test_sorted_pairs_and_first_appearance_record_order(self):
+        """Records are resolved in first-appearance order over the sorted
+        pairs — not set order — so interning is hash-seed independent."""
+        records = {
+            record_id: Record(record_id, {"v": record_id})
+            for record_id in ("r0", "r1", "r2", "r3")
+        }
+        ordered, resolved, missing = resolve_candidates(
+            records, [("r2", "r3"), ("r0", "r3"), ("r1", "r2")]
+        )
+        assert ordered == [("r0", "r3"), ("r1", "r2"), ("r2", "r3")]
+        assert list(resolved) == ["r0", "r3", "r1", "r2"]
+        assert all(resolved[rid] is records[rid] for rid in resolved)
+        assert missing == []
+
+    def test_every_record_missing(self):
+        dataset = Dataset([Record("r0", {"v": "a"})])
+        ordered, resolved, missing = resolve_candidates(
+            dataset, {("r1", "r2"), ("r2", "r3")}
+        )
+        assert (ordered, resolved) == ([], {})
+        assert missing == ["r1", "r2", "r3"]  # sorted, each id once

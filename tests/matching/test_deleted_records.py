@@ -10,16 +10,16 @@ warning and every other pair is scored normally.
 from __future__ import annotations
 
 import logging
+from itertools import combinations
 
 import pytest
 
+from repro.core.pairs import make_pair
 from repro.core.records import Record
 from repro.matching import AttributeComparator, MatchingPipeline
-from repro.matching.parallel import (
-    ParallelConfig,
-    compare_pairs_sharded,
-    resolve_candidates,
-)
+from repro.matching.attribute_matching import resolve_candidates
+from repro.matching.pipeline import COLUMNAR_MIN_PAIRS
+from repro.telemetry.metrics import get_metrics
 
 
 class _Registry:
@@ -43,13 +43,23 @@ RECORDS = [
 ]
 CANDIDATES = {("r1", "r2"), ("r1", "r3"), ("r2", "r4"), ("r3", "r4")}
 
+# One crowded block: every pair of 12 records, 55 of them without r2 —
+# enough to clear the columnar kernel gate.
+CROWD = RECORDS + [
+    Record(f"r{index}", {"name": f"alice smith {index % 3}"})
+    for index in range(5, 13)
+]
+CROWD_CANDIDATES = {
+    make_pair(first.record_id, second.record_id)
+    for first, second in combinations(CROWD, 2)
+}
 
-def _pipeline(parallelism=None) -> MatchingPipeline:
+
+def _pipeline(candidates=CANDIDATES) -> MatchingPipeline:
     return MatchingPipeline(
-        candidate_generator=lambda dataset: set(CANDIDATES),
+        candidate_generator=lambda dataset: set(candidates),
         comparator=AttributeComparator({"name": "jaro_winkler"}),
         decision_model=lambda vector: vector.mean(),
-        parallelism=parallelism,
     )
 
 
@@ -63,17 +73,23 @@ def test_resolve_candidates_reports_missing():
 
 
 @pytest.mark.parametrize(
-    "parallelism",
-    [None, ParallelConfig(workers=2, shards=3, min_pairs=0)],
-    ids=["serial", "sharded"],
+    "records, candidates",
+    [(RECORDS, CANDIDATES), (CROWD, CROWD_CANDIDATES)],
+    ids=["serial", "columnar"],
 )
-def test_compare_candidates_skips_deleted_records(parallelism, caplog):
-    registry = _Registry(RECORDS)
+def test_compare_candidates_skips_deleted_records(caplog, records, candidates):
+    registry = _Registry(records)
     registry.delete("r2")
-    pipeline = _pipeline(parallelism)
+    pipeline = _pipeline(candidates)
+    kernel_pairs = get_metrics().counter("frost_kernel_pairs_total")
+    before = kernel_pairs.value
     with caplog.at_level(logging.WARNING, logger="repro.matching.pipeline"):
-        vectors = pipeline.compare_candidates(registry, CANDIDATES)
-    assert [vector.pair for vector in vectors] == [("r1", "r3"), ("r3", "r4")]
+        vectors = pipeline.compare_candidates(registry, candidates)
+    surviving = sorted(pair for pair in candidates if "r2" not in pair)
+    assert [vector.pair for vector in vectors] == surviving
+    # the small block takes the scalar loop, the crowded one the kernels
+    columnar = len(surviving) >= COLUMNAR_MIN_PAIRS
+    assert kernel_pairs.value - before == (len(surviving) if columnar else 0)
     assert any("r2" in message for message in caplog.messages)
     assert any("deleted between" in message for message in caplog.messages)
 
@@ -85,20 +101,3 @@ def test_compare_candidates_intact_registry_does_not_warn(caplog):
     assert len(vectors) == len(CANDIDATES)
     assert not caplog.messages
 
-
-def test_sharded_and_serial_agree_after_deletion():
-    registry = _Registry(RECORDS)
-    registry.delete("r4")
-    serial, missing_serial = compare_pairs_sharded(
-        registry,
-        CANDIDATES,
-        AttributeComparator({"name": "jaro_winkler"}),
-    )
-    sharded, missing_sharded = compare_pairs_sharded(
-        registry,
-        CANDIDATES,
-        AttributeComparator({"name": "jaro_winkler"}),
-        config=ParallelConfig(workers=2, shards=2, min_pairs=0),
-    )
-    assert sharded == serial
-    assert missing_sharded == missing_serial == ["r4"]

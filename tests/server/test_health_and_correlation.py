@@ -5,7 +5,7 @@ Covers the observability surface of the HTTP front-end: ``/healthz``
 gone), the structured DEBUG access log, per-endpoint-family metrics
 with latency-SLO burn counters, and one ``request_id`` observable
 end-to-end — response header, access log, span tree, and ``/stats`` —
-including across the process-pool shard boundary.
+down to the comparison spans of a matching run.
 """
 
 from __future__ import annotations
@@ -202,8 +202,8 @@ class TestRequestIdCorrelation:
 
     def test_one_id_spans_log_trace_and_stats(self, api, caplog):
         """The acceptance-criteria walk: one request's id shows up in the
-        access log, on every span of its trace (including the folded
-        process-pool shard spans), and in the /stats payload."""
+        access log, on every span of its trace, and in the /stats
+        payload."""
         tracer = get_tracer()
         tracer.reset()
         tracer.enable()
@@ -238,49 +238,45 @@ class TestRequestIdCorrelation:
             assert span.annotations.get("request_id") == "req-e2e", span.name
         tracer.reset()
 
-    def test_id_crosses_the_process_pool_boundary(self, people_dataset):
-        """Shard spans folded back from pool workers inherit the id."""
-        from repro.engine.executors import SerialExecutor
-        from repro.matching.attribute_matching import AttributeComparator
-        from repro.matching.parallel import (
-            ParallelConfig,
-            compare_pairs_sharded,
-        )
+    @pytest.mark.parametrize(
+        "count, span_name",
+        [(4, "comparison.serial"), (12, "comparison.columnar")],
+        ids=["serial", "columnar"],
+    )
+    def test_id_reaches_the_comparison_spans(self, count, span_name):
+        """Both comparison paths open their span under the request's
+        span, so the id annotates the scalar loop and the kernels."""
+        from itertools import combinations
+
         from repro.core.pairs import make_pair
+        from repro.core.records import Record
+        from repro.matching import AttributeComparator, MatchingPipeline
         from repro.telemetry import bind_request_id
 
+        records = {
+            f"r{i}": Record(f"r{i}", {"name": f"alice smith {i % 3}"})
+            for i in range(count)
+        }
+        pipeline = MatchingPipeline(
+            candidate_generator=lambda dataset: set(),
+            comparator=AttributeComparator({"name": "jaro_winkler"}),
+            decision_model=lambda vector: vector.mean(),
+        )
+        candidates = {make_pair(a, b) for a, b in combinations(records, 2)}
         tracer = get_tracer()
         tracer.reset()
         tracer.enable()
         try:
-            comparator = AttributeComparator({"name": "jaro_winkler"})
-            records = list(people_dataset)
-            pairs = [
-                make_pair(records[0].record_id, records[1].record_id),
-                make_pair(records[1].record_id, records[2].record_id),
-            ]
-            with bind_request_id("req-shard"), tracer.span(
-                "http.request", request_id="req-shard"
+            with bind_request_id("req-compare"), tracer.span(
+                "http.request", request_id="req-compare"
             ):
-                compare_pairs_sharded(
-                    people_dataset,
-                    pairs,
-                    comparator,
-                    ParallelConfig(workers=2, shards=2, min_pairs=0),
-                    executor=SerialExecutor(),
-                    columnar=False,
-                )
+                pipeline.compare_candidates(records, candidates)
         finally:
             tracer.disable()
         (root,) = [
-            span
-            for span in tracer.roots()
-            if span.name == "http.request"
+            span for span in tracer.roots() if span.name == "http.request"
         ]
-        shards = [
-            span for span in root.walk() if span.name == "comparison.shard"
-        ]
-        assert shards, "no shard spans were folded into the trace"
-        for shard in shards:
-            assert shard.annotations["request_id"] == "req-shard"
+        (compared,) = [span for span in root.walk() if span.name == span_name]
+        assert compared.annotations["request_id"] == "req-compare"
+        assert compared.annotations["pairs"] == len(candidates)
         tracer.reset()

@@ -1,5 +1,8 @@
 """Tests for the SQLite-backed store (Appendix A.3)."""
 
+import logging
+import sqlite3
+
 import pytest
 
 from repro.core import Experiment, Match
@@ -119,6 +122,37 @@ class TestGoldStandards:
         bad = GoldStandard.from_pairs([("p1", "ghost")], name="bad")
         with pytest.raises(StorageError, match="unknown record"):
             store.save_gold_standard("people", bad)
+
+
+class TestResultCache:
+    @pytest.mark.parametrize(
+        "torn",
+        ['{"f1": 0.5', "", "not json", b"\xc3\x28"],
+        ids=["truncated", "empty", "garbage", "invalid-utf8"],
+    )
+    def test_undecodable_payload_is_a_miss(self, tmp_path, caplog, torn):
+        """A row that no longer decodes is a miss with a warning, and the
+        next put overwrites it."""
+        path = tmp_path / "cache.db"
+        with FrostStore(path) as store:
+            store.cache_put("k", "metrics", {"f1": 0.5})
+        with sqlite3.connect(path) as raw:
+            raw.execute(
+                "UPDATE result_cache SET payload = ? WHERE cache_key = 'k'",
+                (torn,),
+            )
+        with FrostStore(path) as store, caplog.at_level(
+            logging.WARNING, logger="repro.storage.database"
+        ):
+            assert store.cache_get("k") is None
+            assert any("does not decode" in m for m in caplog.messages)
+            store.cache_put("k", "metrics", {"f1": 0.75})
+            assert store.cache_get("k") == {"f1": 0.75}
+
+    def test_absent_key_is_a_quiet_miss(self, store, caplog):
+        with caplog.at_level(logging.WARNING, logger="repro.storage.database"):
+            assert store.cache_get("never-stored") is None
+        assert not caplog.messages
 
 
 class TestPersistence:

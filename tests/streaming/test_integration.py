@@ -145,19 +145,38 @@ class TestStreamApiRoutes:
         assert bad.value.status == 400
 
     @pytest.mark.parametrize(
-        "parallelism",
-        [{"workers": "4"}, {"workers": 2.5}, {"shards": 0}, {"typo": 1}],
+        "retired",
+        [
+            {"parallelism": {"workers": "4"}},
+            {"parallelism": {"workers": 2.5}},
+            {"parallelism": {"shards": 0}},
+            {"parallelism": {"typo": 1}},
+            {"columnar": False},
+        ],
+        ids=["workers-str", "workers-float", "shards-zero", "typo", "columnar"],
     )
-    def test_bad_parallelism_config_is_400(self, api, parallelism):
-        with pytest.raises(ApiError) as bad:
+    def test_retired_execution_keys_are_ignored(self, api, retired):
+        """Clients written for the sharded/columnar knobs still create
+        streams: the keys — valid or not — no longer mean anything."""
+        api.handle(
+            "/streams", method="POST",
+            body={"name": "old", "config": {**CONFIG, **retired}},
+        )
+        api.handle(
+            "/streams", method="POST", body={"name": "new", "config": CONFIG}
+        )
+        snapshots = [
             api.handle(
-                "/streams", method="POST",
-                body={
-                    "name": "x",
-                    "config": {**CONFIG, "parallelism": parallelism},
-                },
-            )
-        assert bad.value.status == 400
+                f"/streams/{name}/batches", method="POST",
+                body={"records": ROWS_ONE},
+            )["snapshot"]
+            for name in ("old", "new")
+        ]
+        for snapshot in snapshots:
+            del snapshot["stream"]
+        assert snapshots[0] == snapshots[1]
+        status = api.handle("/streams/old")
+        assert "parallelism" not in status and "columnar" not in status
 
     def test_duplicate_name_is_400(self, api):
         api.handle(
@@ -265,78 +284,41 @@ class TestStreamCli:
         assert "p1 p2 p5" in output
         assert "p3 p4" in output
 
-    def test_parallel_flags_persist_and_override(self, tmp_path, capsys):
-        """``stream init --workers/--shards`` lands in the stored config
-        and ``stream ingest --workers`` overrides it per invocation —
-        with clusters identical to a serial stream's."""
+    def test_ingest_resumes_stream_stored_with_retired_keys(
+        self, tmp_path, capsys
+    ):
+        """``stream ingest`` resumes a stream that ``stream init`` stored
+        with its since-removed sharding and columnar settings, and
+        clusters exactly like a stream created without them."""
         from repro.cli import main
-        from repro.storage.database import FrostStore
-        from repro.streaming import open_session
+        from repro.streaming import validate_config
 
         store = str(tmp_path / "s.db")
+        with FrostStore(store) as opened:
+            opened.create_stream("old", {
+                **validate_config(CONFIG),
+                "parallelism": {"workers": 4, "shards": 16},
+                "columnar": False,
+            })
+            opened.create_stream("new", validate_config(CONFIG))
         day1 = tmp_path / "day1.csv"
         day2 = tmp_path / "day2.csv"
         self._write_csv(day1, ROWS_ONE)
         self._write_csv(day2, ROWS_TWO)
-
-        assert main([
-            "stream", "init", "--store", store, "--name", "crm",
-            "--key-attribute", "last",
-            "--similarity", "first=jaro_winkler",
-            "--similarity", "last=jaro_winkler",
-            "--threshold", "0.8",
-            "--workers", "2", "--shards", "4",
-        ]) == 0
-        assert main([
-            "stream", "ingest", "--store", store, "--name", "crm",
-            "--dataset", str(day1),
-        ]) == 0
-        # per-ingest override (also exercises with_parallelism on resume)
-        assert main([
-            "stream", "ingest", "--store", store, "--name", "crm",
-            "--dataset", str(day2), "--workers", "1",
-        ]) == 0
-
-        with FrostStore(store) as opened:
-            config = opened.load_stream("crm")["config"]
-            assert config["parallelism"]["workers"] == 2
-            assert config["parallelism"]["shards"] == 4
-            session = open_session(opened, "crm")
-            assert session.status()["parallelism"]["workers"] == 2
-            parallel_clusters = set(session.clusters().clusters)
-
-        serial_store = str(tmp_path / "serial.db")
-        assert main([
-            "stream", "init", "--store", serial_store, "--name", "crm",
-            "--key-attribute", "last",
-            "--similarity", "first=jaro_winkler",
-            "--similarity", "last=jaro_winkler",
-            "--threshold", "0.8",
-        ]) == 0
-        for day in (day1, day2):
+        outputs = {}
+        for name in ("old", "new"):
+            for day in (day1, day2):
+                assert main([
+                    "stream", "ingest", "--store", store, "--name", name,
+                    "--dataset", str(day),
+                ]) == 0
+            capsys.readouterr()
             assert main([
-                "stream", "ingest", "--store", serial_store, "--name", "crm",
-                "--dataset", str(day),
+                "stream", "snapshot", "--store", store, "--name", name,
             ]) == 0
-        with FrostStore(serial_store) as opened:
-            serial_clusters = set(open_session(opened, "crm").clusters().clusters)
-        assert parallel_clusters == serial_clusters
-
-    def test_shards_alone_engages_all_cores(self, tmp_path):
-        """--shards without --workers must not silently stay serial."""
-        from repro.cli import main
-        from repro.storage.database import FrostStore
-
-        store = str(tmp_path / "s.db")
-        assert main([
-            "stream", "init", "--store", store, "--name", "crm",
-            "--key-attribute", "last", "--similarity", "last=jaro_winkler",
-            "--shards", "16",
-        ]) == 0
-        with FrostStore(store) as opened:
-            parallelism = opened.load_stream("crm")["config"]["parallelism"]
-        assert parallelism["shards"] == 16
-        assert parallelism["workers"] == 0  # 0 = all cores
+            outputs[name] = capsys.readouterr().out.replace(name, "<stream>")
+        assert "p1 p2 p5" in outputs["old"]
+        assert outputs["old"] == outputs["new"]
 
     def test_init_requires_key_attribute(self, tmp_path, capsys):
         from repro.cli import main

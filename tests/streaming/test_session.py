@@ -1,8 +1,12 @@
 """Tests for streaming matching sessions: snapshots, equivalence, durability."""
 
+import random
+
 import pytest
 
 from repro.core.records import Dataset, Record
+from repro.matching.attribute_matching import compare_pairs
+from repro.matching.pipeline import COLUMNAR_MIN_PAIRS
 from repro.storage.database import FrostStore
 from repro.streaming import (
     StreamError,
@@ -11,6 +15,8 @@ from repro.streaming import (
     open_session,
     validate_config,
 )
+from repro.streaming.session import mean_similarity
+from repro.telemetry.metrics import get_metrics
 
 CONFIG = {
     "key": {"kind": "first_token", "attribute": "last"},
@@ -36,6 +42,20 @@ BATCH_TWO = [
     person("p4", "maria", "jones", "99999"),
     person("p5", "johnny", "smith", "12345"),
 ]
+
+
+def crowd(prefix, count, seed):
+    """Records crowded into three blocks, so deltas exceed the kernel gate."""
+    rng = random.Random(seed)
+    return [
+        person(
+            f"{prefix}{i}",
+            rng.choice(["john", "jon", "johnny", "mary", "maria", "marie"]),
+            rng.choice(["smith", "smyth", "jones"]),
+            rng.choice(["12345", "99999", None]),
+        )
+        for i in range(count)
+    ]
 
 
 class TestIngest:
@@ -152,6 +172,33 @@ class TestDurability:
         # and the continuation itself is durable
         assert open_session(store, "crm").version == 2
 
+    def test_stream_stored_with_retired_keys_resumes(self):
+        """A stream row stored with the retired ``parallelism`` and
+        ``columnar`` keys (what ``stream init`` wrote when it still took
+        sharding and columnar flags) still resumes, and ingests exactly
+        like a fresh session without the keys."""
+        legacy = {
+            **validate_config(CONFIG),
+            "parallelism": {"workers": 4, "shards": 16, "min_pairs": 2048},
+            "columnar": False,
+        }
+        store = FrostStore(":memory:")
+        store.create_stream("crm", legacy)
+        fresh = build_session(CONFIG)
+        batches = [crowd("a", 30, seed=3), crowd("b", 30, seed=4)]
+        for batch in batches:
+            resumed = open_session(store, "crm")
+            assert resumed.config["parallelism"]["workers"] == 4
+            assert (
+                resumed.ingest(batch).as_dict()
+                == fresh.ingest(batch).as_dict()
+            )
+        resumed = open_session(store, "crm")
+        assert resumed.version == 2
+        assert set(resumed.clusters().clusters) == set(
+            fresh.clusters().clusters
+        )
+
     def test_duplicate_stream_name_rejected(self):
         store = FrostStore(":memory:")
         build_session(CONFIG, store=store, name="crm")
@@ -222,19 +269,89 @@ class TestConfigValidation:
         snapshot = session.ingest(BATCH_ONE)
         assert snapshot.record_count == 3
 
-    def test_columnar_must_be_boolean(self):
-        with pytest.raises(ValueError, match="columnar"):
-            validate_config({**CONFIG, "columnar": "yes"})
+    def test_retired_execution_keys_are_ignored(self):
+        """Configs stored before comparison had one code path carry
+        ``parallelism``/``columnar``; they validate to the same config."""
+        legacy = {
+            **CONFIG,
+            "parallelism": {"workers": 4, "shards": 16, "min_pairs": 2048},
+            "columnar": False,
+        }
+        assert validate_config(legacy) == validate_config(CONFIG)
+        status = build_session(legacy).status()
+        assert "columnar" not in status and "parallelism" not in status
 
-    def test_columnar_defaults_on_and_round_trips_when_set(self):
-        assert "columnar" not in validate_config(CONFIG)
-        normalized = validate_config({**CONFIG, "columnar": False})
-        assert normalized["columnar"] is False
-        pipeline, _ = build_pipeline_and_index({**CONFIG, "columnar": False})
-        assert pipeline.columnar is False
-        pipeline, _ = build_pipeline_and_index(CONFIG)
-        assert pipeline.columnar is True
 
-    def test_status_reports_columnar(self):
-        session = build_session({**CONFIG, "columnar": False})
-        assert session.status()["columnar"] is False
+def scalar_loop_matches(records, config=CONFIG):
+    """Accepted pair -> score of the scalar compare_pairs loop over the
+    batch pipeline's candidates of ``records``."""
+    pipeline, _ = build_pipeline_and_index(config)
+    prepared = pipeline.prepare(Dataset(records, name="all"))
+    candidates = sorted(pipeline.generate_candidates(prepared))
+    expected = {}
+    for vector in compare_pairs(prepared, candidates, pipeline.comparator):
+        score = mean_similarity(vector)
+        if score >= pipeline.threshold:
+            expected[vector.pair] = score
+    return expected
+
+
+def direct_matches(session):
+    return {
+        match.pair: match.score
+        for match in session.experiment().matches
+        if not match.from_clustering
+    }
+
+
+class TestDeltaScoring:
+    def test_delta_scores_match_scalar_loop(self):
+        """Delta batches run the columnar kernels; every accepted score
+        equals the scalar compare_pairs loop over the batch candidates."""
+        session = build_session(CONFIG)
+        kernel_pairs = get_metrics().counter("frost_kernel_pairs_total")
+        before = kernel_pairs.value
+        batches = [crowd("a", 30, seed=1), crowd("b", 30, seed=2)]
+        for batch in batches:
+            snapshot = session.ingest(batch)
+            assert snapshot.delta_candidates >= COLUMNAR_MIN_PAIRS
+        assert kernel_pairs.value > before
+
+        expected = scalar_loop_matches([r for batch in batches for r in batch])
+        assert expected and direct_matches(session) == expected
+
+    @pytest.mark.parametrize(
+        "splits", [1, 2, 5, 12], ids=lambda n: f"{n}-batches"
+    )
+    def test_any_batch_split_scores_like_the_scalar_loop(self, splits):
+        """Whether a delta clears the kernel gate or not — and with many
+        small batches it alternates — the accepted scores equal the
+        scalar loop's over the whole corpus."""
+        records = crowd("r", 60, seed=5)
+        size = -(-len(records) // splits)
+        session = build_session(CONFIG)
+        gated = {
+            session.ingest(records[start:start + size]).delta_candidates
+            >= COLUMNAR_MIN_PAIRS
+            for start in range(0, len(records), size)
+        }
+        if splits == 12:
+            assert gated == {True, False}  # both paths ran
+        expected = scalar_loop_matches(records)
+        assert expected and direct_matches(session) == expected
+
+    def test_lsh_stream_scores_like_the_scalar_loop(self):
+        """LSH delta candidates take the same comparison stage."""
+        config = {
+            **CONFIG,
+            "key": {"kind": "lsh", "num_perm": 64, "bands": 16, "seed": 5},
+        }
+        records = crowd("l", 60, seed=6)
+        session = build_session(config)
+        kernel_pairs = get_metrics().counter("frost_kernel_pairs_total")
+        before = kernel_pairs.value
+        for start in range(0, len(records), 20):
+            session.ingest(records[start:start + 20])
+        assert kernel_pairs.value > before
+        expected = scalar_loop_matches(records, config)
+        assert expected and direct_matches(session) == expected

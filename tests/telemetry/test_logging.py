@@ -61,15 +61,15 @@ class TestRequestIds:
             tracer.reset()
 
     def test_record_inherits_request_id_across_process_boundary(self):
-        """Folded shard spans carry the id of the request that ran them."""
+        """Folded-in spans carry the id of the request that ran them."""
         tracer = get_tracer()
         tracer.reset()
         tracer.enable()
         try:
             with tracer.span("http.request", request_id="req-pool"):
-                shard = tracer.record("comparison.shard", 0.01, pairs=3)
-            assert shard.annotations["request_id"] == "req-pool"
-            assert shard.annotations["pairs"] == 3
+                task = tracer.record("remote.task", 0.01, pairs=3)
+            assert task.annotations["request_id"] == "req-pool"
+            assert task.annotations["pairs"] == 3
         finally:
             tracer.disable()
             tracer.reset()

@@ -81,12 +81,12 @@ def test_context_propagates_across_threads(tracer):
 
 
 def test_record_folds_external_timing_into_the_tree(tracer):
-    with tracer.span("comparison.sharded"):
-        tracer.record("comparison.shard", 0.25, pairs=100)
+    with tracer.span("remote.batch"):
+        tracer.record("remote.task", 0.25, pairs=100)
     (root,) = tracer.roots()
-    (shard,) = root.children
-    assert shard.seconds == 0.25
-    assert shard.annotations == {"pairs": 100}
+    (task,) = root.children
+    assert task.seconds == 0.25
+    assert task.annotations == {"pairs": 100}
 
 
 def test_reset_drops_completed_roots(tracer):

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -76,6 +78,26 @@ class TestParser:
     def test_serve_requires_store(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stream", "init", "--store", "x.db", "--name", "crm",
+             "--key-attribute", "last", "--similarity", "last=exact"],
+            ["stream", "ingest", "--store", "x.db", "--name", "crm",
+             "--dataset", "d.csv"],
+            ["trace", "--generate", "100"],
+        ],
+        ids=["stream-init", "stream-ingest", "trace"],
+    )
+    def test_retired_sharding_flags_rejected(self, argv, capsys):
+        """Comparison runs one way, so the sharding flags are gone; a
+        script still passing them fails loudly."""
+        build_parser().parse_args(argv)
+        for flag in (["--workers", "2"], ["--shards", "4"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv + flag)
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestMetrics:
@@ -308,19 +330,18 @@ class TestTrace:
     def test_traced_run_prints_span_tree_and_metrics(self, capsys):
         code, out, _ = run(
             capsys,
-            "trace", "--generate", "150", "--workers", "2", "--repeat", "2",
+            "trace", "--generate", "150", "--repeat", "2",
         )
         assert code == 0
         # the span tree covers submission, engine jobs, every pipeline
-        # stage, and the process-pool comparison shards
+        # stage, and the columnar comparison kernels
         for name in (
             "trace.run",
             "engine.job",
             "pipeline.run",
             "pipeline.candidates",
             "pipeline.similarity",
-            "comparison.sharded",
-            "comparison.shard",
+            "comparison.columnar",
             "pipeline.clustering",
         ):
             assert name in out, f"span {name!r} missing from trace output"
@@ -329,6 +350,24 @@ class TestTrace:
         assert "cached=True" in out
         assert "frost_engine_cache_hits_total 1" in out
         assert "# TYPE frost_engine_cache_hits_total counter" in out
+
+    def test_columnar_comparison_nests_under_similarity(self, capsys):
+        """The kernels' span sits directly under pipeline.similarity and
+        covers every scored vector."""
+        code, out, _ = run(capsys, "trace", "--generate", "150", "--repeat", "1")
+        assert code == 0
+        lines = out.splitlines()
+        (index,) = [
+            i for i, line in enumerate(lines) if "pipeline.similarity" in line
+        ]
+        similarity, columnar = lines[index], lines[index + 1]
+        assert "comparison.columnar" in columnar
+        assert columnar.index("comparison.columnar") > similarity.index(
+            "pipeline.similarity"
+        )
+        vectors = re.search(r"vectors=(\d+)", similarity).group(1)
+        assert f"pairs={vectors} " in columnar
+        assert "comparison.serial" not in out
 
     def test_traced_csv_run_with_gold_metrics_job(self, files, capsys):
         code, out, _ = run(
