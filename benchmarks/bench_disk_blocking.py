@@ -1,10 +1,11 @@
 """Disk-backed SQL-pushdown blocking for larger-than-memory corpora.
 
-The in-memory blockers hold ``dict[str, list[str]]`` block membership
-plus the full candidate set in Python memory — RAM bounds the corpus.
-:mod:`repro.blocking_disk` spills ``(block_key, record_id)`` rows into
-indexed SQLite tables and runs the pair join inside the storage engine,
-streamed back in bounded chunks.  The claims under test:
+The dict backend of the blocking index holds ``dict[str, list[str]]``
+block membership plus the full candidate set in Python memory — RAM
+bounds the corpus.  The SQLite backend (:mod:`repro.blocking_disk`)
+spills ``(block_key, record_id)`` rows into indexed SQLite tables and
+runs the pair join inside the storage engine, streamed back in bounded
+chunks.  The claims under test:
 
 1. **identity** — the disk path's candidate set is *set-identical* to
    the in-memory blocker, across blocker families, asserted in every
@@ -12,7 +13,8 @@ streamed back in bounded chunks.  The claims under test:
    change pipeline output);
 2. **bounded memory** — a generated 1M-record person corpus blocks
    end-to-end (spill + join + chunked count) with peak RSS **< 1 GB**,
-   because the corpus is generated and spilled in batches, the join's
+   because the corpus is generated and fed to a SQLite-backed index in
+   batches (only its record-id set stays in Python memory), the join's
    temp structures live in SQLite's capped page cache, and candidates
    are counted chunk-by-chunk without ever materializing the set;
 3. **throughput** — spill and join rates are reported per mode as
@@ -22,7 +24,8 @@ Run with::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_disk_blocking.py -s
 
-Modes: ``REPRO_BENCH_SMOKE=1`` (CI, ~3k records), default (~60k),
+Modes: ``REPRO_BENCH_SMOKE=1`` (~3k records), default (~60k; the
+scale CI runs and ``BENCH_disk_blocking.json`` records),
 ``REPRO_BENCH_FULL=1`` (1M records; asserts the < 1 GB RSS bound).
 """
 
@@ -34,14 +37,12 @@ import time
 from benchmarks.conftest import print_table
 from benchmarks.trajectory import emit_trajectory, peak_rss_mb
 from repro.blocking_disk import (
+    DiskBlockingIndex,
     DiskBlockingStore,
     disk_lsh_blocking,
     disk_sorted_neighborhood,
     disk_standard_blocking,
     disk_token_blocking,
-    spill_records,
-    standard_plan,
-    stream_candidates,
 )
 from repro.datagen import make_person_benchmark
 from repro.datagen.domains import person_entity
@@ -57,6 +58,8 @@ from repro.matching.blocking import (
     token_blocking,
 )
 from repro.matching.lsh import LshConfig, lsh_blocking
+from repro.streaming.delta_blocking import single_key
+from repro.telemetry.metrics import get_metrics
 
 MAX_PEAK_RSS_MB = 1024
 BATCH_RECORDS = 50_000
@@ -142,37 +145,43 @@ def test_corpus_blocks_in_bounded_memory():
     """Claims 2 + 3 — batched generation, spill, pushed-down join.
 
     The corpus never exists as one Python object: each slice is
-    generated, spilled, and dropped; the join output is counted chunk
-    by chunk.  In full mode (1M records) the < 1 GB peak-RSS bound is
-    asserted; identity versus the in-memory path on the first slice is
-    asserted in every mode.
+    generated, fed to a SQLite-backed index, and dropped; the join
+    output is counted chunk by chunk.  In full mode (1M records) the
+    < 1 GB peak-RSS bound is asserted; identity versus the in-memory
+    path on the first slice is asserted in every mode.
     """
     record_count = _corpus_records()
     batch_size = min(BATCH_RECORDS, record_count)
-    plan = standard_plan(first_token_key("zip"), {"attribute": "zip"})
 
     with DiskBlockingStore() as store:
-        run_id = store.begin_run(plan.scheme, dict(plan.config))
+        index = DiskBlockingIndex(
+            single_key(first_token_key("zip")), store=store,
+            scheme="standard_blocking", config={"attribute": "zip"},
+        )
 
+        rows_counter = get_metrics().counter(
+            "frost_blocking_rows_spilled_total"
+        )
+        rows_before = rows_counter.value
         spill_started = time.perf_counter()
-        spilled_rows = 0
         generated = 0
         first_slice = None
-        index = 0
+        batch_index = 0
         while generated < record_count:
             count = min(batch_size, record_count - generated)
-            dataset = _batch(index, count)
-            spilled_rows += spill_records(store, run_id, plan, dataset)
+            dataset = _batch(batch_index, count)
+            index.add(dataset)
             generated += len(dataset)
             if first_slice is None:
                 first_slice = dataset  # kept for the identity assert
-            index += 1
+            batch_index += 1
         spill_seconds = time.perf_counter() - spill_started
+        spilled_rows = rows_counter.value - rows_before
 
         join_started = time.perf_counter()
         candidate_count = 0
         chunk_count = 0
-        for chunk in stream_candidates(store, run_id, plan):
+        for chunk in index.candidate_chunks("disk:standard_blocking"):
             candidate_count += len(chunk)
             chunk_count += 1
         join_seconds = time.perf_counter() - join_started
@@ -190,7 +199,7 @@ def test_corpus_blocks_in_bounded_memory():
 
     print_table(
         f"Disk blocking at scale ({generated} records, "
-        f"{index} batches)",
+        f"{batch_index} batches)",
         ["Stage", "Seconds", "Rate", "Output"],
         [
             ["generate+spill", f"{spill_seconds:.2f}",

@@ -11,8 +11,9 @@ O(chunk) Python memory.
 This example shows:
 
 1. the pipeline knob — same config, same fingerprint, same output;
-2. the streaming piecewise API — spill batches, then stream candidate
-   chunks without ever materializing the set;
+2. the index piecewise — feed a SQLite-backed blocking index one
+   slice at a time, then stream candidate chunks without ever
+   materializing the set;
 3. the telemetry the disk path emits (rows spilled, chunks, runs).
 
 Run with::
@@ -24,10 +25,11 @@ from __future__ import annotations
 
 import time
 
-from repro.blocking_disk import DiskBlockingStore, spill_records, standard_plan
+from repro.blocking_disk import DiskBlockingIndex, DiskBlockingStore
+from repro.core.records import Record
 from repro.datagen import make_person_benchmark
 from repro.matching.blocking import first_token_key
-from repro.streaming import build_pipeline_and_index
+from repro.streaming import build_pipeline_and_index, single_key
 from repro.telemetry.metrics import get_metrics
 
 CONFIG = {
@@ -71,25 +73,31 @@ def main() -> None:
           f"({disk_seconds * 1000:.1f} ms)")
     print(f"  set-identical:      {disk_pairs == memory_pairs} (must be True)")
 
-    # --- 2. Piecewise spilling for larger-than-memory corpora ----------------
+    # --- 2. Piecewise feeding for larger-than-memory corpora ----------------
     # The real point of the disk path: the corpus arrives (or is
-    # generated) in slices, each slice is spilled and dropped, and the
-    # join output is consumed chunk by chunk — nothing scales with the
-    # corpus except the SQLite file.
-    plan = standard_plan(first_token_key("zip"), {"attribute": "zip"})
+    # generated) in slices, each slice is fed to the index and dropped,
+    # and the join output is consumed chunk by chunk — nothing scales
+    # with the corpus except the SQLite file (and the record-id set).
     with DiskBlockingStore(chunk_size=10_000) as store:
-        run_id = store.begin_run(plan.scheme, dict(plan.config))
+        index = DiskBlockingIndex(
+            single_key(first_token_key("zip")), store=store,
+            scheme="standard_blocking", config={"attribute": "zip"},
+        )
         for start in range(0, 3):
             batch = make_person_benchmark(1_000, seed=100 + start).dataset
-            spill_records(store, run_id, plan, batch)
+            # each slice draws ids from the same range: prefix them
+            index.add(
+                Record(f"s{start}-{record.record_id}", record.values)
+                for record in batch
+            )
         candidate_count = 0
         chunk_count = 0
-        for chunk in store.iter_candidate_chunks(run_id):
+        for chunk in index.candidate_chunks("disk:standard_blocking"):
             candidate_count += len(chunk)
             chunk_count += 1
-        print("\n=== Piecewise spill + streamed join ===")
-        print(f"  membership rows:  {store.key_count(run_id)}")
-        print(f"  distinct blocks:  {store.block_count(run_id)}")
+        print("\n=== Piecewise feed + streamed join ===")
+        print(f"  records:          {len(index)}")
+        print(f"  distinct blocks:  {index.block_count}")
         print(f"  candidate pairs:  {candidate_count} "
               f"in {chunk_count} chunk(s)")
 

@@ -1,59 +1,38 @@
-"""Disk-executed counterparts of the batch blockers (SQL pushdown plans).
+"""Disk-executed counterparts of the batch blockers.
 
-A :class:`DiskBlockingPlan` describes how one blocking scheme spills
-into the :class:`~repro.blocking_disk.store.DiskBlockingStore` tables:
-an ``emit`` function mapping each record to its block keys (plus, for
-MinHash-LSH, the packed signature blob to persist), the purge cap, and
-— for the sorted-neighborhood method — the window the SQL join applies.
-:func:`run_disk_blocking` executes a plan end-to-end and returns the
-same candidate set the in-memory blocker would, having never held more
-than one spill batch and one result chunk in Python memory.
+Each ``disk_*`` function is its in-memory twin on the SQLite backend:
+the same key emitter feeds a
+:class:`~repro.blocking_disk.incremental.DiskBlockingIndex`, whose
+pushed-down join chunks fold into the identical candidate set.
 
-Identity with the in-memory path is by construction, not coincidence:
-plans reuse the exact key emitters of the delta-blocking machinery
-(:func:`~repro.streaming.delta_blocking.token_keys`,
-:func:`~repro.streaming.delta_blocking.single_key`,
-:meth:`~repro.matching.lsh.MinHasher.band_keys`), so the ``(block_key,
-record_id)`` rows agree row-for-row, and the SQL joins reproduce the
-Python pair canonicalization (see :mod:`repro.blocking_disk.store`).
-
-:func:`plan_for_generator` maps a pipeline's candidate generator to its
-plan: generators exposing a ``disk_blocking_plan()`` hook (``LshBlocking``,
-the streaming config's batch blocker) plan themselves; the bare
-:func:`~repro.matching.blocking.token_blocking` function is recognized
-by identity; anything else — custom callables, composed blockers —
-returns ``None`` and the pipeline falls back to the in-memory path
-(with a warning and a ``frost_blocking_disk_fallback_total`` tick),
-which is safe because the knob never changes the candidate set.
+:func:`disk_candidates` is the pipeline's ``blocking_storage="disk"``
+path: generators exposing their key emitter (``keys_for`` plus
+``max_block_size``: ``LshBlocking``, the streaming config's batch
+blocker) and the bare :func:`~repro.matching.blocking.token_blocking`
+run on disk.  Anything else returns ``None`` and the pipeline falls
+back to the in-memory path (with a warning and a
+``frost_blocking_disk_fallback_total`` tick), which is safe because the
+knob never changes the candidate set.
 """
 
 from __future__ import annotations
 
-import struct
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 
+from repro.blocking_disk.incremental import DiskBlockingIndex
 from repro.blocking_disk.store import DiskBlockingStore
 from repro.core.pairs import Pair
 from repro.core.records import Record
 from repro.matching.blocking import (
     BlockingKey,
-    note_purged_blocks,
+    KeyEmitter,
+    single_key,
     token_blocking,
+    token_keys,
 )
-from repro.matching.lsh import LshConfig, MinHasher, record_tokens
-from repro.streaming.delta_blocking import single_key, token_keys
+from repro.matching.lsh import LshConfig, MinHasher
 
 __all__ = [
-    "DiskBlockingPlan",
-    "plan_for_generator",
-    "standard_plan",
-    "token_plan",
-    "sorted_neighborhood_plan",
-    "lsh_plan",
-    "spill_records",
-    "stream_candidates",
-    "run_disk_blocking",
     "disk_candidates",
     "disk_standard_blocking",
     "disk_token_blocking",
@@ -61,220 +40,42 @@ __all__ = [
     "disk_lsh_blocking",
 ]
 
-Emit = Callable[[Record], tuple[Sequence[str], bytes | None]]
 
-
-@dataclass(frozen=True)
-class DiskBlockingPlan:
-    """How one blocking scheme executes inside the storage engine."""
-
-    scheme: str
-    emit: Emit
-    max_block_size: int | None = None
-    window: int | None = None
-    config: Mapping[str, object] = field(default_factory=dict)
-
-
-def _keys_only(emitter: Callable[[Record], Sequence[str]]) -> Emit:
-    def emit(record: Record) -> tuple[Sequence[str], bytes | None]:
-        return emitter(record), None
-
-    return emit
-
-
-def standard_plan(
-    key: BlockingKey, config: Mapping[str, object] | None = None
-) -> DiskBlockingPlan:
-    """Standard key blocking: one row per record, ``None`` keys skipped."""
-    return DiskBlockingPlan(
-        scheme="standard_blocking",
-        emit=_keys_only(single_key(key)),
-        config=dict(config or {}),
-    )
-
-
-def token_plan(
-    attributes: Iterable[str] | None = None,
-    min_token_length: int = 3,
-    max_block_size: int | None = 200,
-) -> DiskBlockingPlan:
-    """Token blocking: one row per (long) token, oversized blocks purged."""
-    return DiskBlockingPlan(
-        scheme="token_blocking",
-        emit=_keys_only(token_keys(attributes, min_token_length)),
-        max_block_size=max_block_size,
-        config={
-            "attributes": list(attributes) if attributes is not None else None,
-            "min_token_length": min_token_length,
-            "max_block_size": max_block_size,
-        },
-    )
-
-
-def sorted_neighborhood_plan(
-    key: BlockingKey, window: int = 5
-) -> DiskBlockingPlan:
-    """Sorted-neighborhood: every record gets exactly one row (``None``
-    keys sort first under ``""``), and the window join pairs records by
-    their ``ROW_NUMBER()`` position over ``(block_key, record_id)``."""
-    if window < 2:
-        raise ValueError(f"window must be at least 2, got {window}")
-
-    def emit(record: Record) -> tuple[Sequence[str], bytes | None]:
-        return (key(record) or "",), None
-
-    return DiskBlockingPlan(
-        scheme="sorted_neighborhood",
-        emit=emit,
-        window=window,
-        config={"window": window},
-    )
-
-
-def lsh_plan(config: LshConfig | None = None) -> DiskBlockingPlan:
-    """MinHash-LSH: band-bucket rows plus the packed signature blob.
-
-    Each record is hashed once — the signature feeds both the persisted
-    blob (``<num_perm`` unsigned 64-bit little-endian values``>``) and
-    the band keys, via
-    :meth:`~repro.matching.lsh.MinHasher.band_keys_from_signature`.
-    """
-    config = config or LshConfig()
-    hasher = MinHasher(config)
-    packer = struct.Struct(f"<{config.num_perm}Q")
-
-    def emit(record: Record) -> tuple[Sequence[str], bytes | None]:
-        tokens = record_tokens(
-            record,
-            attributes=config.attributes,
-            min_token_length=config.min_token_length,
-            shingle_size=config.shingle_size,
-        )
-        signature = hasher.signature(tokens)
-        if signature is None:
-            return (), None
-        return (
-            hasher.band_keys_from_signature(signature),
-            packer.pack(*signature),
-        )
-
-    return DiskBlockingPlan(
-        scheme="lsh_blocking",
-        emit=emit,
-        max_block_size=config.max_block_size,
-        config=config.as_dict(),
-    )
-
-
-def plan_for_generator(generator: object) -> DiskBlockingPlan | None:
-    """The SQL-pushdown plan of a pipeline candidate generator, if any."""
-    planner = getattr(generator, "disk_blocking_plan", None)
-    if planner is not None:
-        return planner()
-    if generator is token_blocking:
-        return token_plan()
-    return None
-
-
-# -- execution ------------------------------------------------------------------
-
-
-def spill_records(
-    store: DiskBlockingStore,
-    run_id: int,
-    plan: DiskBlockingPlan,
-    records: Iterable[Record],
-) -> int:
-    """Spill one record stream's key (and signature) rows; returns rows.
-
-    ``records`` may be a generator — batching happens inside the store,
-    so arbitrarily large streams spill in bounded memory.  Callable
-    repeatedly for batched corpora (the benchmark generates the corpus
-    in slices and frees each one after its spill).
-    """
-    signatures: list[tuple[str, bytes]] = []
-
-    def rows() -> Iterator[tuple[str, str]]:
-        for record in records:
-            keys, blob = plan.emit(record)
-            if blob is not None:
-                signatures.append((record.record_id, blob))
-                if len(signatures) >= store.chunk_size:
-                    store.spill_signatures(run_id, signatures)
-                    signatures.clear()
-            for key in keys:
-                yield key, record.record_id
-
-    spilled = store.spill_keys(run_id, rows())
-    if signatures:
-        store.spill_signatures(run_id, signatures)
-    return spilled
-
-
-def stream_candidates(
-    store: DiskBlockingStore,
-    run_id: int,
-    plan: DiskBlockingPlan,
-    chunk_size: int | None = None,
-) -> Iterator[list[Pair]]:
-    """Stream a spilled run's candidate pairs in bounded, sorted chunks.
-
-    Reports the purge pass (counters + one warning) before the join, so
-    dropped oversized blocks are observable exactly like on the
-    in-memory path.
-    """
-    purged_blocks, purged_records = store.purge_stats(
-        run_id, plan.max_block_size
-    )
-    note_purged_blocks(f"disk:{plan.scheme}", purged_blocks, purged_records)
-    return store.iter_candidate_chunks(
-        run_id,
-        max_block_size=plan.max_block_size,
-        window=plan.window,
-        chunk_size=chunk_size,
-    )
-
-
-def run_disk_blocking(
-    plan: DiskBlockingPlan,
+def _on_disk(
+    scheme: str,
+    config: object,
+    keys_for: KeyEmitter,
     records: Iterable[Record],
     store: DiskBlockingStore | None = None,
+    max_block_size: int | None = None,
+    window: int | None = None,
 ) -> set[Pair]:
-    """Execute a plan end-to-end: spill, join, fold chunks into a set.
-
-    Without ``store`` a scratch database is created and removed — the
-    drop-in replacement for calling the in-memory blocker.  The result
-    *set* is materialized (downstream scoring needs it); the bounded-
-    memory spill/join machinery is reusable piecewise via
-    :func:`spill_records` and :func:`stream_candidates` where even the
-    candidate set must stay on disk.
-    """
-    owns = store is None
-    store = store or DiskBlockingStore()
+    """Feed ``records`` to a disk index, fold its candidate chunks."""
+    index = DiskBlockingIndex(
+        keys_for, max_block_size, store, scheme=scheme, config=config
+    )
     try:
-        run_id = store.begin_run(plan.scheme, dict(plan.config))
-        spill_records(store, run_id, plan, records)
-        candidates: set[Pair] = set()
-        for chunk in stream_candidates(store, run_id, plan):
-            candidates.update(chunk)
-        return candidates
+        return index.block(records, f"disk:{scheme}", window)
     finally:
-        if owns:
-            store.close()
+        index.close()
 
 
 def disk_candidates(
     generator: object, dataset: Iterable[Record]
 ) -> set[Pair] | None:
     """Run a pipeline candidate generator through the disk path, if it
-    has a plan; ``None`` signals the caller to fall back in-memory."""
-    plan = plan_for_generator(generator)
-    if plan is None:
+    exposes its key emitter; ``None`` signals the caller to fall back
+    in-memory."""
+    if generator is token_blocking:
+        return disk_token_blocking(dataset)
+    keys_for = getattr(generator, "keys_for", None)
+    if keys_for is None:
         return None
-    return run_disk_blocking(plan, dataset)
-
-
-# -- direct counterparts of the batch blockers ----------------------------------
+    [(scheme, config)] = generator.config_fingerprint().items()
+    return _on_disk(
+        scheme, config, keys_for, dataset,
+        max_block_size=generator.max_block_size,
+    )
 
 
 def disk_standard_blocking(
@@ -283,7 +84,7 @@ def disk_standard_blocking(
     store: DiskBlockingStore | None = None,
 ) -> set[Pair]:
     """Disk-executed :func:`~repro.matching.blocking.standard_blocking`."""
-    return run_disk_blocking(standard_plan(key), dataset, store=store)
+    return _on_disk("standard_blocking", {}, single_key(key), dataset, store)
 
 
 def disk_token_blocking(
@@ -294,10 +95,12 @@ def disk_token_blocking(
     store: DiskBlockingStore | None = None,
 ) -> set[Pair]:
     """Disk-executed :func:`~repro.matching.blocking.token_blocking`."""
-    return run_disk_blocking(
-        token_plan(attributes, min_token_length, max_block_size),
-        dataset,
-        store=store,
+    attributes = list(attributes) if attributes is not None else None
+    config = dict(attributes=attributes, min_token_length=min_token_length,
+                  max_block_size=max_block_size)
+    return _on_disk(
+        "token_blocking", config, token_keys(attributes, min_token_length),
+        dataset, store, max_block_size=max_block_size,
     )
 
 
@@ -309,8 +112,10 @@ def disk_sorted_neighborhood(
 ) -> set[Pair]:
     """Disk-executed :func:`~repro.matching.blocking.sorted_neighborhood`
     (the ``ROW_NUMBER()`` window-function join)."""
-    return run_disk_blocking(
-        sorted_neighborhood_plan(key, window), dataset, store=store
+    return _on_disk(
+        "sorted_neighborhood", {"window": window},
+        single_key(lambda record: key(record) or ""), dataset, store,
+        window=window,
     )
 
 
@@ -320,5 +125,9 @@ def disk_lsh_blocking(
     store: DiskBlockingStore | None = None,
 ) -> set[Pair]:
     """Disk-executed :func:`~repro.matching.lsh.lsh_blocking` — band
-    buckets and signatures persisted, the pair join pushed down."""
-    return run_disk_blocking(lsh_plan(config), dataset, store=store)
+    buckets spilled, the pair join pushed down."""
+    config = config or LshConfig()
+    return _on_disk(
+        "lsh_blocking", config.as_dict(), MinHasher(config).keys_for,
+        dataset, store, max_block_size=config.max_block_size,
+    )

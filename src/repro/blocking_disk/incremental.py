@@ -1,48 +1,30 @@
-"""Disk-backed incremental delta blocking for streaming sessions.
+"""The blocking index on the SQLite backend.
 
-:class:`DiskBlockingIndex` is a drop-in
+:class:`DiskBlockingIndex` is an
 :class:`~repro.streaming.delta_blocking.IncrementalBlockingIndex` whose
-block membership lists live in the
-:class:`~repro.blocking_disk.store.DiskBlockingStore` tables instead of
-a Python ``dict[str, list[str]]``.  Ingest, retract, restore, and the
-emission-cap semantics are identical — pair emission consults the
-stored members of each touched block (in arrival order, via the rowid-
-aliased ``entry_id``), exactly like the in-memory list walk — so the
-union of deltas over any ingest split equals the batch candidate set,
-the property durable sessions and their resume path are built on.
-
+block membership lives in :class:`~repro.blocking_disk.store.DiskBlockingStore`
+rows instead of a Python dict; everything else is the index's own.
 Only the per-record id set stays in Python memory (O(records) strings,
-needed for the duplicate-ingest guard); the O(memberships) block state
-— the part that grows with key fan-out — is on disk.
+for the duplicate-ingest guard); the O(memberships) block state is on
+disk.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
-from repro.blocking_disk.store import DiskBlockingStore
-from repro.core.pairs import make_pair
-from repro.core.records import Record
-from repro.streaming.delta_blocking import (
-    DeltaIngest,
-    IncrementalBlockingIndex,
-    KeyEmitter,
-)
+from repro.blocking_disk.store import DiskBlockingStore, SqliteMembership
+from repro.matching.blocking import KeyEmitter
+from repro.streaming.delta_blocking import IncrementalBlockingIndex
 
 __all__ = ["DiskBlockingIndex"]
 
 
 class DiskBlockingIndex(IncrementalBlockingIndex):
-    """SQLite-backed live block index emitting delta candidate pairs.
+    """SQLite-backed blocking index.
 
-    Parameters
-    ----------
-    keys_for / max_block_size:
-        As for :class:`IncrementalBlockingIndex`.
-    store:
-        The disk store holding the membership rows.  ``None`` (default)
-        creates a private scratch database, removed when the index is
-        closed or garbage-collected.
+    ``store`` holds the membership rows; ``None`` (default) creates a
+    private scratch database, removed when the index is closed or
+    garbage-collected.  ``scheme`` and ``config`` are what the store's
+    run catalog records for this index's run.
     """
 
     def __init__(
@@ -50,112 +32,18 @@ class DiskBlockingIndex(IncrementalBlockingIndex):
         keys_for: KeyEmitter,
         max_block_size: int | None = None,
         store: DiskBlockingStore | None = None,
+        *,
+        scheme: str = "incremental",
+        config: object = None,
     ) -> None:
-        super().__init__(keys_for, max_block_size)
         self._owns_store = store is None
-        self._store = store or DiskBlockingStore()
-        self._run_id = self._store.begin_run("incremental", {})
-        # the dict the parent allocated stays empty: membership lives
-        # in the store's blocking_keys rows
-        self._blocks.clear()
+        store = store or DiskBlockingStore()
+        run_id = store.begin_run(scheme, {} if config is None else config)
+        super().__init__(
+            keys_for, max_block_size, backend=SqliteMembership(store, run_id)
+        )
 
     def close(self) -> None:
         """Release a privately-owned scratch store."""
         if self._owns_store:
-            self._store.close()
-
-    # -- queries ----------------------------------------------------------------
-
-    @property
-    def block_count(self) -> int:
-        return self._store.block_count(self._run_id)
-
-    def block_items(self) -> list[tuple[str, str]]:
-        return list(
-            self._store.connection.execute(
-                "SELECT block_key, record_id FROM blocking_keys "
-                "WHERE run_id = ? ORDER BY block_key, record_id",
-                (self._run_id,),
-            )
-        )
-
-    def _members(self, key: str) -> list[str]:
-        return [
-            record_id
-            for (record_id,) in self._store.connection.execute(
-                "SELECT record_id FROM blocking_keys "
-                "WHERE run_id = ? AND block_key = ? ORDER BY entry_id",
-                (self._run_id, key),
-            )
-        ]
-
-    # -- mutation ---------------------------------------------------------------
-
-    def ingest_delta(self, records: Iterable[Record]) -> DeltaIngest:
-        emitted = set()
-        memberships: list[tuple[str, str]] = []
-        record_ids: list[str] = []
-        connection = self._store.connection
-        # committed in one batch at the end (also on error, mirroring
-        # the in-memory index, which keeps earlier rows of a failed
-        # ingest too — the session layer owns rollback, via retract())
-        try:
-            for record in records:
-                record_id = record.record_id
-                if record_id in self._records:
-                    raise ValueError(
-                        f"record {record_id!r} is already indexed"
-                    )
-                self._records.add(record_id)
-                record_ids.append(record_id)
-                for key in self._keys_for(record):
-                    members = self._members(key)
-                    if (
-                        self.max_block_size is None
-                        or len(members) < self.max_block_size
-                    ):
-                        emitted.update(
-                            make_pair(member, record_id) for member in members
-                        )
-                    connection.execute(
-                        "INSERT INTO blocking_keys "
-                        "(run_id, block_key, record_id) VALUES (?, ?, ?)",
-                        (self._run_id, key, record_id),
-                    )
-                    memberships.append((key, record_id))
-        finally:
-            connection.commit()
-        return DeltaIngest(
-            pairs=sorted(emitted),
-            memberships=memberships,
-            record_ids=record_ids,
-        )
-
-    def retract(self, delta: DeltaIngest) -> None:
-        """Undo one :meth:`ingest_delta` (durable-persist rollback).
-
-        A record ingests at most once, so ``(block_key, record_id)``
-        identifies exactly the rows that ingest added.
-        """
-        with self._store.connection as connection:
-            connection.executemany(
-                "DELETE FROM blocking_keys "
-                "WHERE run_id = ? AND block_key = ? AND record_id = ?",
-                (
-                    (self._run_id, key, record_id)
-                    for key, record_id in delta.memberships
-                ),
-            )
-        self._records.difference_update(delta.record_ids)
-
-    def restore(self, memberships: Iterable[tuple[str, str]]) -> None:
-        if self._records:
-            raise ValueError("restore() requires an empty index")
-        rows = list(memberships)
-        with self._store.connection as connection:
-            connection.executemany(
-                "INSERT INTO blocking_keys (run_id, block_key, record_id) "
-                "VALUES (?, ?, ?)",
-                ((self._run_id, key, record_id) for key, record_id in rows),
-            )
-        self._records.update(record_id for _, record_id in rows)
+            self._backend.store.close()

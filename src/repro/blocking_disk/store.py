@@ -1,4 +1,4 @@
-"""SQLite-resident blocking state: keys, signatures, and the pair join.
+"""SQLite-resident blocking state: membership rows and the pair joins.
 
 Every in-memory blocker materializes ``dict[str, list[str]]`` block
 membership lists plus the full candidate set in Python memory, so the
@@ -10,7 +10,10 @@ function for the sorted-neighborhood method — streaming the result back
 in bounded chunks.  Python memory then holds one chunk at a time, no
 matter how large the corpus or its blocks are.
 
-The candidate sets are *identical* to the in-memory blockers, by
+:class:`SqliteMembership` exposes one run's rows as a membership
+backend of the blocking index.  All disk-blocking SQL lives here.
+
+The candidate sets are *identical* to the in-memory backend, by
 construction: the same key emitters produce the same ``(block_key,
 record_id)`` rows, and SQLite's default BINARY collation compares TEXT
 byte-wise, which over UTF-8 equals Python's code-point string order —
@@ -21,7 +24,8 @@ the sorted-neighborhood sort exactly.
 The tables live either in a scratch database (default: a temp file,
 removed on close) or inside a :class:`~repro.storage.database.FrostStore`
 file — they are part of the store schema since ``user_version`` 3, and
-older store files migrate in place on open.
+older store files migrate in place on open.  ``blocking_signatures``
+is kept in the schema so those files stay valid; nothing writes it.
 """
 
 from __future__ import annotations
@@ -32,14 +36,20 @@ import sqlite3
 import tempfile
 import time
 import weakref
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
+from functools import partial
 from itertools import islice
 from pathlib import Path
 
 from repro.core.pairs import Pair
 from repro.telemetry.metrics import get_metrics
 
-__all__ = ["BLOCKING_SCHEMA", "DiskBlockingStore", "DEFAULT_CHUNK_SIZE"]
+__all__ = [
+    "BLOCKING_SCHEMA",
+    "DEFAULT_CHUNK_SIZE",
+    "DiskBlockingStore",
+    "SqliteMembership",
+]
 
 # Appended to the FrostStore schema (user_version 3) and bootstrapped
 # standalone for scratch stores.  ``entry_id`` aliases SQLite's rowid,
@@ -236,7 +246,8 @@ class DiskBlockingStore:
         return {"scheme": row[0], "config": json.loads(row[1])}
 
     def drop_run(self, run_id: int) -> None:
-        """Delete a run's key, signature, and catalog rows."""
+        """Delete a run's key and catalog rows (and any signature rows
+        an older version of the store wrote)."""
         with self._connection:
             self._connection.execute(
                 "DELETE FROM blocking_keys WHERE run_id = ?", (run_id,)
@@ -274,34 +285,6 @@ class DiskBlockingStore:
             total += len(batch)
         _ROWS_SPILLED.inc(total)
         return total
-
-    def spill_signatures(
-        self, run_id: int, rows: Iterable[tuple[str, bytes]]
-    ) -> int:
-        """Append ``(record_id, packed_signature)`` rows in batches."""
-        total = 0
-        iterator = iter(rows)
-        while True:
-            batch = list(islice(iterator, self.chunk_size))
-            if not batch:
-                break
-            with self._connection:
-                self._connection.executemany(
-                    "INSERT INTO blocking_signatures "
-                    "(run_id, record_id, signature) VALUES (?, ?, ?)",
-                    ((run_id, record_id, blob) for record_id, blob in batch),
-                )
-            total += len(batch)
-        return total
-
-    def signature(self, run_id: int, record_id: str) -> bytes | None:
-        """The persisted MinHash signature blob of one record, if any."""
-        row = self._connection.execute(
-            "SELECT signature FROM blocking_signatures "
-            "WHERE run_id = ? AND record_id = ?",
-            (run_id, record_id),
-        ).fetchone()
-        return None if row is None else row[0]
 
     def key_count(self, run_id: int) -> int:
         """Number of membership rows spilled for a run."""
@@ -390,3 +373,58 @@ class DiskBlockingStore:
         ):
             result.update(chunk)
         return result
+
+
+class SqliteMembership:
+    """One run of a :class:`DiskBlockingStore` as an index membership
+    backend (operations: see
+    :class:`~repro.streaming.delta_blocking.DictMembership`).
+
+    Arrival order is the rowid-aliased ``entry_id``.  Appends stay in
+    the open transaction until ``commit``: one ingest costs one indexed
+    ``SELECT`` per touched key, one ``INSERT`` per membership and one
+    commit.  Candidate chunks are sorted, distinct, ``chunk_size`` long.
+    """
+
+    def __init__(self, store: DiskBlockingStore, run_id: int) -> None:
+        self.store = store
+        self.run_id = run_id
+        self.extend = partial(store.spill_keys, run_id)
+        self.commit = store.connection.commit
+        self.block_count = partial(store.block_count, run_id)
+        self.purge_stats = partial(store.purge_stats, run_id)
+        self.candidate_chunks = partial(store.iter_candidate_chunks, run_id)
+
+    def members(self, key: str) -> list[str]:
+        return [
+            record_id
+            for (record_id,) in self.store.connection.execute(
+                "SELECT record_id FROM blocking_keys "
+                "WHERE run_id = ? AND block_key = ? ORDER BY entry_id",
+                (self.run_id, key),
+            )
+        ]
+
+    def append(self, key: str, record_id: str) -> None:
+        self.store.connection.execute(
+            "INSERT INTO blocking_keys (run_id, block_key, record_id) "
+            "VALUES (?, ?, ?)",
+            (self.run_id, key, record_id),
+        )
+
+    def remove(self, memberships: Sequence[tuple[str, str]]) -> None:
+        # a record ingests at most once, so (block_key, record_id)
+        # identifies exactly the rows its ingest added
+        with self.store.connection as connection:
+            connection.executemany(
+                "DELETE FROM blocking_keys "
+                "WHERE run_id = ? AND block_key = ? AND record_id = ?",
+                ((self.run_id, key, rid) for key, rid in memberships),
+            )
+
+    def items(self) -> list[tuple[str, str]]:
+        return self.store.connection.execute(
+            "SELECT block_key, record_id FROM blocking_keys "
+            "WHERE run_id = ? ORDER BY block_key, record_id",
+            (self.run_id,),
+        ).fetchall()

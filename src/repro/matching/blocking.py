@@ -8,23 +8,27 @@ token blocking.  All blockers return canonical pairs, so their output
 can be evaluated directly with pair-based metrics (pairs completeness /
 reduction ratio).
 
-Blockers visit blocks in sorted order, so any order-sensitive
-instrumentation of the emission (tracing, progress sampling) is
-reproducible.  The candidate *sets* they return are content-identical
-regardless of ``PYTHONHASHSEED`` either way; byte-identical stored
-experiments and cache digests are guaranteed downstream, where the
-pipeline scores candidates in sorted order
+Every blocker except :func:`full_pairs` is an
+:class:`~repro.streaming.delta_blocking.IncrementalBlockingIndex` fed
+one batch: the blocking logic exists once, shared with streaming and
+the disk-backed path.  Blocks are visited in sorted order, so any
+order-sensitive instrumentation of the emission (tracing, progress
+sampling) is reproducible.  The candidate *sets* they return are
+content-identical regardless of ``PYTHONHASHSEED`` either way;
+byte-identical stored experiments and cache digests are guaranteed
+downstream, where the pipeline scores candidates in sorted order
 (:meth:`~repro.matching.pipeline.MatchingPipeline.compare_candidates`).
 """
 
 from __future__ import annotations
 
 import logging
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from itertools import combinations
 
 from repro.core.pairs import Pair, make_pair
 from repro.core.records import Dataset, Record
+from repro.matching.lsh import record_tokens
 from repro.matching.similarity import tokenize
 from repro.telemetry.metrics import get_metrics
 
@@ -37,6 +41,8 @@ __all__ = [
     "prefix_key",
     "soundex_key",
     "note_purged_blocks",
+    "single_key",
+    "token_keys",
 ]
 
 _LOGGER = logging.getLogger(__name__)
@@ -56,6 +62,7 @@ _PURGED_RECORDS = get_metrics().counter(
 )
 
 BlockingKey = Callable[[Record], str | None]
+KeyEmitter = Callable[[Record], Sequence[str]]
 
 
 def note_purged_blocks(
@@ -77,6 +84,38 @@ def note_purged_blocks(
     )
 
 
+def single_key(key: BlockingKey) -> KeyEmitter:
+    """Adapt a standard blocking key into a key emitter.
+
+    Records whose key is ``None`` emit no keys (they never become
+    candidates), as in :func:`standard_blocking`.
+    """
+
+    def keys(record: Record) -> Sequence[str]:
+        value = key(record)
+        return () if value is None else (value,)
+
+    return keys
+
+
+def token_keys(
+    attributes: Iterable[str] | None = None, min_token_length: int = 3
+) -> KeyEmitter:
+    """Key emitter reproducing token blocking: one key per (long) token.
+
+    Every token of at least ``min_token_length`` characters across the
+    given attributes (default: all) becomes a block key.  Keys are
+    emitted in sorted order for deterministic pair emission.
+    """
+
+    def keys(record: Record) -> Sequence[str]:
+        return sorted(
+            record_tokens(record, attributes, min_token_length, None)
+        )
+
+    return keys
+
+
 def full_pairs(dataset: Dataset) -> set[Pair]:
     """The entire ``[D]^2`` — exact but quadratic; baseline only."""
     ids = dataset.record_ids
@@ -89,17 +128,10 @@ def standard_blocking(dataset: Dataset, key: BlockingKey) -> set[Pair]:
     Records whose key is ``None`` are excluded (they would otherwise
     form a giant null block).
     """
-    blocks: dict[str, list[str]] = {}
-    for record in dataset:
-        value = key(record)
-        if value is not None:
-            blocks.setdefault(value, []).append(record.record_id)
-    candidates: set[Pair] = set()
-    for value in sorted(blocks):
-        candidates.update(
-            make_pair(a, b) for a, b in combinations(blocks[value], 2)
-        )
-    return candidates
+    from repro.streaming.delta_blocking import IncrementalBlockingIndex
+
+    index = IncrementalBlockingIndex(single_key(key))
+    return index.block(dataset, "standard_blocking")
 
 
 def sorted_neighborhood(
@@ -112,23 +144,16 @@ def sorted_neighborhood(
     order).  Equal keys are tie-broken by record id — sorting by key
     alone would leave ties in dataset insertion order, making the
     window (and therefore the candidate set) depend on ingestion order.
-    The total ``(key, record_id)`` order also matches what SQL's
-    ``ORDER BY block_key, record_id`` produces, which keeps the
-    disk-backed window join (:mod:`repro.blocking_disk`) set-identical.
+    The total ``(key, record_id)`` order is the order both membership
+    backends sort by, which keeps the disk-backed window join
+    (:mod:`repro.blocking_disk`) set-identical.
     """
-    if window < 2:
-        raise ValueError(f"window must be at least 2, got {window}")
-    ordered = sorted(
-        (record.record_id for record in dataset),
-        key=lambda record_id: (key(dataset[record_id]) or "", record_id),
+    from repro.streaming.delta_blocking import IncrementalBlockingIndex
+
+    index = IncrementalBlockingIndex(
+        single_key(lambda record: key(record) or "")
     )
-    candidates: set[Pair] = set()
-    for index, record_id in enumerate(ordered):
-        for offset in range(1, window):
-            if index + offset >= len(ordered):
-                break
-            candidates.add(make_pair(record_id, ordered[index + offset]))
-    return candidates
+    return index.block(dataset, "sorted_neighborhood", window)
 
 
 def token_blocking(
@@ -143,30 +168,12 @@ def token_blocking(
     brand names) — the standard block-purging heuristic; set ``None`` to
     keep everything.
     """
-    blocks: dict[str, list[str]] = {}
-    for record in dataset:
-        names = attributes if attributes is not None else record.values.keys()
-        seen: set[str] = set()
-        for attribute in names:
-            value = record.value(attribute)
-            if not value:
-                continue
-            for token in tokenize(value):
-                if len(token) >= min_token_length:
-                    seen.add(token)
-        for token in sorted(seen):
-            blocks.setdefault(token, []).append(record.record_id)
-    candidates: set[Pair] = set()
-    purged_blocks = purged_records = 0
-    for token in sorted(blocks):
-        members = blocks[token]
-        if max_block_size is not None and len(members) > max_block_size:
-            purged_blocks += 1
-            purged_records += len(members)
-            continue
-        candidates.update(make_pair(a, b) for a, b in combinations(members, 2))
-    note_purged_blocks("token_blocking", purged_blocks, purged_records)
-    return candidates
+    from repro.streaming.delta_blocking import IncrementalBlockingIndex
+
+    index = IncrementalBlockingIndex(
+        token_keys(attributes, min_token_length), max_block_size
+    )
+    return index.block(dataset, "token_blocking")
 
 
 # -- common key functions -----------------------------------------------------------

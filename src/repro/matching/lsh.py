@@ -23,10 +23,10 @@ The hot path is batched at the vocabulary level: a
 ``min`` over the cached token rows, instead of re-hashing every token of
 every record ``num_perm`` times.
 
-Banding is **append-only** — a new record can only join buckets, never
-reshuffle them — which is exactly the property that lets
-:class:`~repro.streaming.delta_blocking.IncrementalLshIndex` emit exact
-delta candidate sets for streaming sessions.
+Band buckets are block keys (:meth:`MinHasher.keys_for`) of the one
+blocking index, in memory or on disk.  Banding is **append-only** — a
+new record can only join buckets, never reshuffle them — so the index
+emits exact delta candidate sets for streaming sessions.
 """
 
 from __future__ import annotations
@@ -36,12 +36,10 @@ import struct
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 from random import Random
 
-from repro.core.pairs import Pair, make_pair
+from repro.core.pairs import Pair
 from repro.core.records import Dataset, Record
-from repro.matching.blocking import note_purged_blocks
 from repro.matching.similarity import tokenize
 
 __all__ = [
@@ -77,9 +75,11 @@ def record_tokens(
 ) -> frozenset[str]:
     """The token set a record is MinHashed over.
 
-    Word tokens follow :func:`~repro.streaming.delta_blocking.token_keys`:
-    every token of at least ``min_token_length`` characters across the
-    given attributes (default: all).  With ``shingle_size`` set (the
+    Word tokens are every token of at least ``min_token_length``
+    characters across the given attributes (default: all) — with
+    ``shingle_size=None``, exactly the block keys of
+    :func:`~repro.matching.blocking.token_keys`.  With
+    ``shingle_size`` set (the
     default), each token is expanded into boundary-padded character
     n-grams (``"smith"`` → ``^sm smi mit ith th$``) — a typo then damages
     only the shingles it touches instead of severing the whole token,
@@ -304,17 +304,6 @@ class MinHasher:
         signature = self.signature(tokens)
         if signature is None:
             return []
-        return self.band_keys_from_signature(signature)
-
-    def band_keys_from_signature(
-        self, signature: Sequence[int]
-    ) -> list[str]:
-        """The banded bucket keys of an already-computed signature.
-
-        Split out of :meth:`band_keys` so callers that also persist the
-        signature (the disk-backed blocking store spills the packed
-        blob next to the bucket rows) hash each record exactly once.
-        """
         rows = self.config.rows
         keys = []
         for band in range(self.config.bands):
@@ -347,26 +336,13 @@ def lsh_blocking(dataset: Dataset, config: LshConfig | None = None) -> set[Pair]
     candidate *set* is content-identical regardless.  Buckets larger
     than ``config.max_block_size`` are dropped entirely (batch purge).
     """
+    from repro.streaming.delta_blocking import IncrementalBlockingIndex
+
     config = config or LshConfig()
-    hasher = MinHasher(config)
-    buckets: dict[str, list[str]] = {}
-    for record in dataset:
-        for key in hasher.keys_for(record):
-            buckets.setdefault(key, []).append(record.record_id)
-    candidates: set[Pair] = set()
-    purged_buckets = purged_records = 0
-    for key in sorted(buckets):
-        members = buckets[key]
-        if (
-            config.max_block_size is not None
-            and len(members) > config.max_block_size
-        ):
-            purged_buckets += 1
-            purged_records += len(members)
-            continue
-        candidates.update(make_pair(a, b) for a, b in combinations(members, 2))
-    note_purged_blocks("lsh_blocking", purged_buckets, purged_records)
-    return candidates
+    index = IncrementalBlockingIndex(
+        MinHasher(config).keys_for, config.max_block_size
+    )
+    return index.block(dataset, "lsh_blocking")
 
 
 @dataclass(frozen=True)
@@ -389,15 +365,15 @@ class LshBlocking:
         """Content token for the engine's cache keys."""
         return {"lsh_blocking": self.config.as_dict()}
 
-    def disk_blocking_plan(self):
-        """The SQL-pushdown execution plan of this blocker.
-
-        Lets ``blocking_storage="disk"`` pipelines spill signatures and
-        band-bucket rows into SQLite and self-join there instead of
-        building Python bucket lists (see :mod:`repro.blocking_disk`).
-        The candidate set is identical either way, so this — like the
-        plan hook itself — never affects :meth:`config_fingerprint`.
+    @property
+    def keys_for(self):
+        """The bucket-key emitter; exposing it lets a
+        ``blocking_storage="disk"`` pipeline feed a SQLite-backed index
+        (:mod:`repro.blocking_disk`) instead of calling :meth:`__call__`.
         """
-        from repro.blocking_disk.blockers import lsh_plan
+        return MinHasher(self.config).keys_for
 
-        return lsh_plan(self.config)
+    @property
+    def max_block_size(self) -> int | None:
+        """The batch bucket purge (``config.max_block_size``)."""
+        return self.config.max_block_size

@@ -61,7 +61,7 @@ _PAIRS_COMPARED = _telemetry_metrics.get_metrics().counter(
 _DISK_FALLBACKS = _telemetry_metrics.get_metrics().counter(
     "frost_blocking_disk_fallback_total",
     "blocking_storage='disk' requests served by the in-memory path "
-    "(no SQL pushdown plan for the configured generator)",
+    "(the configured generator exposes no key emitter)",
 )
 
 _BLOCKING_STORAGES = ("memory", "disk")
@@ -157,12 +157,12 @@ class MatchingPipeline:
     blocking_storage:
         ``"memory"`` (default) runs the candidate generator as-is;
         ``"disk"`` pushes blocking into SQLite via
-        :mod:`repro.blocking_disk` — keys and signatures spill to
-        indexed tables and the pair join runs as a SQL self-join
-        streamed in bounded chunks, so blocking memory stays O(chunk)
-        instead of O(corpus).  Candidate sets are identical either
-        way (generators without a pushdown plan fall back in-memory
-        with a warning), so this too is an execution knob, absent
+        :mod:`repro.blocking_disk` — block keys spill to indexed
+        tables and the pair join runs as a SQL self-join streamed in
+        bounded chunks, so blocking memory stays O(chunk) instead of
+        O(corpus).  Candidate sets are identical either way
+        (generators exposing no key emitter fall back in-memory with
+        a warning), so this too is an execution knob, absent
         from :meth:`config_fingerprint`.
     """
 
@@ -229,12 +229,12 @@ class MatchingPipeline:
     def generate_candidates(self, prepared: Dataset) -> set[Pair]:
         """Step 2 — candidate pairs of the prepared dataset.
 
-        With ``blocking_storage="disk"`` the generator's SQL-pushdown
-        plan (see :func:`repro.blocking_disk.plan_for_generator`) runs
-        inside a scratch SQLite database instead; generators without a
-        plan fall back to the in-memory call — same candidates, so the
-        fallback is an observability event (warning + counter), not an
-        error.
+        With ``blocking_storage="disk"`` the generator's key emitter
+        feeds a SQLite-backed index in a scratch database instead (see
+        :func:`repro.blocking_disk.disk_candidates`); generators that
+        expose no emitter fall back to the in-memory call — same
+        candidates, so the fallback is an observability event (warning
+        + counter), not an error.
         """
         with _tracing.span("pipeline.candidates", records=len(prepared)) as span:
             candidates: set[Pair] | None = None
@@ -245,8 +245,8 @@ class MatchingPipeline:
                 if candidates is None:
                     _DISK_FALLBACKS.inc()
                     _LOGGER.warning(
-                        "blocking_storage='disk' has no SQL pushdown plan "
-                        "for %r; falling back to the in-memory path "
+                        "blocking_storage='disk' found no key emitter "
+                        "on %r; falling back to the in-memory path "
                         "(output is identical)",
                         self.candidate_generator,
                     )
@@ -420,9 +420,9 @@ class MatchingPipeline:
         """A shallow copy with blocking routed to memory or disk.
 
         This only changes *how* candidate generation executes, never its
-        output — the SQL-pushdown plans produce candidate sets
-        identical to the in-memory blockers (and generators without a
-        plan fall back to the in-memory call).
+        output — the SQLite backend of the blocking index produces
+        candidate sets identical to the dict backend (and generators
+        exposing no key emitter fall back to the in-memory call).
         """
         clone = copy.copy(self)
         clone.blocking_storage = _coerce_blocking_storage(blocking_storage)

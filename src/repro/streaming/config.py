@@ -53,23 +53,18 @@ from repro.matching.attribute_matching import AttributeComparator
 from repro.matching.blocking import (
     first_token_key,
     prefix_key,
+    single_key,
     soundex_key,
-    standard_blocking,
-    token_blocking,
+    token_keys,
 )
-from repro.matching.lsh import LshBlocking, LshConfig
+from repro.matching.lsh import LshBlocking, LshConfig, MinHasher
 from repro.matching.pipeline import (
     MatchingPipeline,
     lowercase_values,
     normalize_whitespace,
 )
 from repro.matching.similarity import SIMILARITY_FUNCTIONS
-from repro.streaming.delta_blocking import (
-    IncrementalBlockingIndex,
-    IncrementalLshIndex,
-    single_key,
-    token_keys,
-)
+from repro.streaming.delta_blocking import IncrementalBlockingIndex
 from repro.streaming.session import StreamingMatcher, mean_similarity
 
 __all__ = [
@@ -128,7 +123,37 @@ def validate_key_config(key: object) -> dict[str, object]:
         return {"kind": "lsh", **_lsh_config(key).as_dict()}
     if kind != "token" and not key.get("attribute"):
         raise ValueError(f"key kind {kind!r} needs an 'attribute'")
+    for name, (valid, expected) in _KEY_FIELDS.items():
+        if name in key and not valid(key[name]):
+            raise ValueError(
+                f"config.key.{name} must be {expected}, got {key[name]!r}"
+            )
     return dict(key)
+
+
+def _positive_int(value: object) -> bool:
+    return (
+        isinstance(value, int) and not isinstance(value, bool) and value >= 1
+    )
+
+
+# Fields of the key-based kinds: (check, what a valid value is).  Key
+# configs arrive from request bodies, so a bad field is a ValueError
+# (the API's 400), never a TypeError or a silently degenerate key.
+_KEY_FIELDS = {
+    "attribute": (lambda v: isinstance(v, str) and v, "a non-empty string"),
+    "length": (_positive_int, "an integer >= 1"),
+    "min_token_length": (_positive_int, "an integer >= 1"),
+    "attributes": (
+        lambda v: v is None or isinstance(v, (list, tuple)) and v and all(
+            isinstance(name, str) and name for name in v
+        ),
+        "a non-empty list of attribute names",
+    ),
+    "max_block_size": (
+        lambda v: v is None or _positive_int(v), "null or an integer >= 1"
+    ),
+}
 
 
 def validate_config(config: Mapping[str, object]) -> dict[str, object]:
@@ -176,16 +201,19 @@ def validate_config(config: Mapping[str, object]) -> dict[str, object]:
     return normalized
 
 
-def _blocking_key(key: Mapping[str, object]):
+def _key_emitter(key: Mapping[str, object]):
+    """The block-key emitter of a pre-validated key config."""
     kind = key["kind"]
-    attribute = key.get("attribute")
-    if kind == "first_token":
-        return first_token_key(attribute)
+    if kind == "lsh":
+        return MinHasher(_lsh_config(key)).keys_for
+    if kind == "token":
+        return token_keys(
+            key.get("attributes"), key.get("min_token_length", 3)
+        )
     if kind == "prefix":
-        return prefix_key(attribute, length=int(key.get("length", 3)))
-    if kind == "soundex":
-        return soundex_key(attribute)
-    raise ValueError(f"unknown key kind {kind!r}")
+        return single_key(prefix_key(key["attribute"], key.get("length", 3)))
+    by_kind = {"first_token": first_token_key, "soundex": soundex_key}
+    return single_key(by_kind[kind](key["attribute"]))
 
 
 class _BatchBlocking:
@@ -194,43 +222,28 @@ class _BatchBlocking:
     A named class (not a lambda) keeps pipelines built from configs
     content-fingerprintable by the engine.  Equivalent *without* a
     ``max_block_size`` cap — see the module docstring for why a capped
-    stream has no exact batch counterpart.
+    stream has no exact batch counterpart.  Exposes its key emitter
+    (``keys_for``) and batch purge (``max_block_size``), which is what
+    lets ``blocking_storage="disk"`` run it on the SQLite backend.
     """
 
     def __init__(self, key_config: Mapping[str, object]) -> None:
         self._config = dict(key_config)
+        self.keys_for = _key_emitter(self._config)
+        # only token blocking purges; standard blocking has no cap
+        token = self._config["kind"] == "token"
+        self._scheme = "token_blocking" if token else "standard_blocking"
+        self.max_block_size = (
+            self._config.get("max_block_size") if token else None
+        )
 
     def __call__(self, dataset):
-        config = self._config
-        if config["kind"] == "token":
-            return token_blocking(
-                dataset,
-                attributes=config.get("attributes"),
-                min_token_length=int(config.get("min_token_length", 3)),
-                max_block_size=config.get("max_block_size"),
-            )
-        return standard_blocking(dataset, _blocking_key(config))
+        index = IncrementalBlockingIndex(self.keys_for, self.max_block_size)
+        return index.block(dataset, self._scheme)
 
     def config_fingerprint(self) -> dict[str, object]:
         """Content token for the engine's cache keys."""
         return {"batch_blocking": self._config}
-
-    def disk_blocking_plan(self):
-        """The SQL-pushdown plan for ``blocking_storage="disk"``.
-
-        Reuses the exact same key emitters as :meth:`__call__`'s
-        blockers, so the disk path's candidate set is identical.
-        """
-        from repro.blocking_disk.blockers import standard_plan, token_plan
-
-        config = self._config
-        if config["kind"] == "token":
-            return token_plan(
-                attributes=config.get("attributes"),
-                min_token_length=int(config.get("min_token_length", 3)),
-                max_block_size=config.get("max_block_size"),
-            )
-        return standard_plan(_blocking_key(config), config)
 
 
 def candidate_generator_from_key(key: object):
@@ -269,33 +282,12 @@ def _delta_index(
     key: Mapping[str, object], storage: str = "memory"
 ) -> IncrementalBlockingIndex:
     """:func:`delta_index_from_key` for pre-validated keys."""
-    if key["kind"] == "lsh":
-        if storage == "disk":
-            from repro.blocking_disk.incremental import DiskBlockingIndex
-            from repro.matching.lsh import MinHasher
-
-            config = _lsh_config(key)
-            return DiskBlockingIndex(
-                MinHasher(config).keys_for,
-                max_block_size=config.max_block_size,
-            )
-        return IncrementalLshIndex(_lsh_config(key))
-    if key["kind"] == "token":
-        emitter = token_keys(
-            attributes=key.get("attributes"),
-            min_token_length=int(key.get("min_token_length", 3)),
-        )
-    else:
-        emitter = single_key(_blocking_key(key))
+    index_type = IncrementalBlockingIndex
     if storage == "disk":
         from repro.blocking_disk.incremental import DiskBlockingIndex
 
-        return DiskBlockingIndex(
-            emitter, max_block_size=key.get("max_block_size")
-        )
-    return IncrementalBlockingIndex(
-        emitter, max_block_size=key.get("max_block_size")
-    )
+        index_type = DiskBlockingIndex
+    return index_type(_key_emitter(key), key.get("max_block_size"))
 
 
 def build_pipeline_and_index(

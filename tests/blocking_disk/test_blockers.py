@@ -13,15 +13,12 @@ from repro.blocking_disk import (
     disk_sorted_neighborhood,
     disk_standard_blocking,
     disk_token_blocking,
-    plan_for_generator,
-    run_disk_blocking,
-    sorted_neighborhood_plan,
-    token_plan,
 )
 from repro.core import Dataset, Record
 from repro.datagen import make_person_benchmark
 from repro.matching import blocking
 from repro.matching.lsh import LshBlocking, LshConfig, lsh_blocking
+from repro.telemetry.metrics import get_metrics
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -99,23 +96,19 @@ class TestIdentity:
         )
 
 
-class TestPlans:
-    def test_lsh_plan_spills_signatures(self, people):
+class TestDiskPath:
+    def test_generator_recognition(self, people):
+        runs = get_metrics().counter("frost_blocking_disk_runs_total", "")
         config = LshConfig(num_perm=16, bands=4)
-        with DiskBlockingStore() as store:
-            generator = LshBlocking(config)
-            plan = generator.disk_blocking_plan()
-            run_disk_blocking(plan, people, store=store)
-            # signatures persisted: 8 bytes per permutation per record
-            blob = store.signature(1, next(iter(people)).record_id)
-            assert blob is not None and len(blob) == 16 * 8
-
-    def test_plan_for_generator_recognition(self):
-        assert plan_for_generator(blocking.token_blocking).scheme == (
-            "token_blocking"
+        before = runs.value
+        assert disk_candidates(LshBlocking(config), people) == (
+            lsh_blocking(people, config)
         )
-        assert plan_for_generator(LshBlocking()).scheme == "lsh_blocking"
-        assert plan_for_generator(lambda dataset: set()) is None
+        assert disk_candidates(blocking.token_blocking, people) == (
+            blocking.token_blocking(people)
+        )
+        assert runs.value == before + 2
+        assert disk_candidates(lambda dataset: set(), people) is None
 
     def test_disk_candidates_fallback_signal(self, messy):
         def custom(dataset):
@@ -126,17 +119,26 @@ class TestPlans:
             blocking.token_blocking(messy)
         )
 
-    def test_window_validation(self):
+    def test_window_validation(self, messy):
         with pytest.raises(ValueError, match="at least 2"):
-            sorted_neighborhood_plan(blocking.first_token_key("name"), window=1)
+            disk_sorted_neighborhood(
+                messy, blocking.first_token_key("name"), window=1
+            )
 
-    def test_token_plan_config_round_trip(self):
-        plan = token_plan(["name"], min_token_length=4, max_block_size=9)
-        assert plan.config == {
-            "attributes": ["name"],
-            "min_token_length": 4,
-            "max_block_size": 9,
-        }
+    def test_run_catalog_records_scheme_and_config(self, messy):
+        with DiskBlockingStore() as store:
+            disk_token_blocking(
+                messy, ["name"], min_token_length=4, max_block_size=9,
+                store=store,
+            )
+            assert store.run_info(1) == {
+                "scheme": "token_blocking",
+                "config": {
+                    "attributes": ["name"],
+                    "min_token_length": 4,
+                    "max_block_size": 9,
+                },
+            }
 
 
 class TestHashSeedInvariance:

@@ -62,10 +62,8 @@ class TestLifecycle:
     def test_drop_run_removes_all_rows(self, store):
         run_id = store.begin_run("standard_blocking", {})
         spill(store, run_id, [("a", "r1"), ("a", "r2")])
-        store.spill_signatures(run_id, [("r1", b"\x01")])
         store.drop_run(run_id)
         assert store.key_count(run_id) == 0
-        assert store.signature(run_id, "r1") is None
         with pytest.raises(KeyError):
             store.run_info(run_id)
 
@@ -85,14 +83,6 @@ class TestSpilling:
         run_id = store.begin_run("standard_blocking", {})
         spill(store, run_id, [("a", "r1"), ("a", "r2"), ("b", "r3")])
         assert counter.value == before + 3
-
-    def test_signatures_round_trip(self, store):
-        run_id = store.begin_run("lsh_blocking", {})
-        blob = bytes(range(32))
-        store.spill_signatures(run_id, [("r1", blob), ("r2", b"\xff" * 8)])
-        assert store.signature(run_id, "r1") == blob
-        assert store.signature(run_id, "r2") == b"\xff" * 8
-        assert store.signature(run_id, "r3") is None
 
 
 class TestEquiJoin:

@@ -250,6 +250,59 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="attribute"):
             validate_config({**CONFIG, "key": {"kind": "prefix"}})
 
+    @pytest.mark.parametrize(
+        "key",
+        [
+            {"kind": "first_token", "attribute": ["last"]},
+            {"kind": "first_token", "attribute": ""},
+            {"kind": "first_token", "attribute": "last",
+             "max_block_size": "5"},
+            {"kind": "first_token", "attribute": "last",
+             "max_block_size": True},
+            {"kind": "first_token", "attribute": "last", "max_block_size": 0},
+            {"kind": "prefix", "attribute": "last", "length": 0},
+            {"kind": "prefix", "attribute": "last", "length": 2.5},
+            {"kind": "prefix", "attribute": "last", "length": True},
+            {"kind": "token", "attributes": "last"},
+            {"kind": "token", "attributes": []},
+            {"kind": "token", "attributes": ["last", ""]},
+            {"kind": "token", "min_token_length": 0},
+            {"kind": "token", "min_token_length": "3"},
+        ],
+        ids=[
+            "attribute-list", "attribute-empty", "cap-str", "cap-bool",
+            "cap-zero", "length-zero", "length-float", "length-bool",
+            "attributes-str", "attributes-empty", "attributes-blank-name",
+            "min-length-zero", "min-length-str",
+        ],
+    )
+    def test_malformed_key_fields_are_rejected(self, key):
+        """Key configs come from request bodies: a malformed field is a
+        ValueError (400), never a crash or a silently degenerate key."""
+        from repro.core.platform import FrostPlatform
+        from repro.server.api import ApiError, FrostApi
+
+        with pytest.raises(ValueError, match="key"):
+            validate_config({**CONFIG, "key": key})
+        with pytest.raises(ApiError) as bad:
+            FrostApi(FrostPlatform()).handle(
+                "/streams", method="POST",
+                body={"name": "x", "config": {**CONFIG, "key": key}},
+            )
+        assert bad.value.status == 400
+
+    def test_valid_key_fields_normalize_unchanged(self):
+        """The normalized key feeds config_fingerprint(): valid configs
+        keep their exact form."""
+        for key in (
+            {"kind": "prefix", "attribute": "last", "length": 2,
+             "max_block_size": None},
+            {"kind": "token", "attributes": ["first", "last"],
+             "min_token_length": 4, "max_block_size": 50},
+            {"kind": "soundex", "attribute": "last", "max_block_size": 9},
+        ):
+            assert validate_config({**CONFIG, "key": key})["key"] == key
+
     def test_unknown_similarity(self):
         with pytest.raises(ValueError, match="unknown similarity"):
             validate_config({**CONFIG, "similarities": {"first": "nope"}})
