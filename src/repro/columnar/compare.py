@@ -15,6 +15,10 @@ by pair.  Per attribute it
    so the kernels score each *distinct* value pair once,
 4. scatters the distinct scores back over the block.
 
+Each attribute's pass runs under its own ``comparison.kernel`` span,
+annotated with the attribute, the kernel and the distinct-pair count,
+so a trace attributes the comparison time measure by measure.
+
 The resulting :class:`SimilarityVector` list is byte-identical to the
 scalar loop (same pairs, same attribute order, same Python ``float``
 scores) — every kernel guarantees bitwise score equality and the
@@ -96,21 +100,27 @@ def compare_block(
         columns: list[list[float | None]] = []
         distinct_total = 0
         for attribute, kernel in zip(plan.attributes, plan.kernels):
-            column = store.column(attribute).astype(np.int64, copy=False)
-            vids_a = column[rows_a]
-            vids_b = column[rows_b]
-            present = (vids_a != NULL_VID) & (vids_b != NULL_VID)
-            scores = np.full(len(pairs), np.nan, dtype=np.float64)
-            if present.any():
-                packed = (vids_a[present] << 32) | vids_b[present]
-                unique, inverse = np.unique(packed, return_inverse=True)
-                unique_scores = kernel.unique_scores(
-                    store,
-                    unique >> 32,
-                    unique & np.int64(0xFFFFFFFF),
-                )
-                scores[present] = unique_scores[inverse]
-                distinct_total += len(unique)
+            with span(
+                "comparison.kernel", attribute=attribute, kernel=kernel.name
+            ) as kernel_span:
+                column = store.column(attribute).astype(np.int64, copy=False)
+                vids_a = column[rows_a]
+                vids_b = column[rows_b]
+                present = (vids_a != NULL_VID) & (vids_b != NULL_VID)
+                scores = np.full(len(pairs), np.nan, dtype=np.float64)
+                distinct = 0
+                if present.any():
+                    packed = (vids_a[present] << 32) | vids_b[present]
+                    unique, inverse = np.unique(packed, return_inverse=True)
+                    unique_scores = kernel.unique_scores(
+                        store,
+                        unique >> 32,
+                        unique & np.int64(0xFFFFFFFF),
+                    )
+                    scores[present] = unique_scores[inverse]
+                    distinct = len(unique)
+                kernel_span.annotate(distinct=distinct)
+            distinct_total += distinct
             lane: list[float | None] = scores.tolist()
             if not present.all():
                 for position in np.flatnonzero(~present).tolist():

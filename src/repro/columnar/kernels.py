@@ -14,10 +14,15 @@ scalar counterpart in :mod:`repro.matching.similarity`:
 * the numeric kernel evaluates the scalar's relative-distance formula
   elementwise in ``float64`` — IEEE-754 basic operations are
   deterministic, so each lane equals the scalar result bit for bit;
-* edit-distance and Jaro–Winkler kernels memoize the scalar functions
-  per distinct string pair (identity by construction), with
-  Monge–Elkan additionally memoizing its *inner* token-level
-  similarity across the whole corpus vocabulary;
+* the Levenshtein, Jaro and Jaro–Winkler kernels turn the block's
+  distinct string pairs into padded code-point matrices and run the
+  scalar algorithms one character position at a time across all pairs
+  (length-sorted chunks bound the temporaries); distances, match and
+  transposition counts are exact integers fed to the scalar's own
+  float expressions;
+* the Monge–Elkan kernel memoizes the scalar per distinct string pair
+  and its *inner* token-level similarity across the whole corpus
+  vocabulary (identity by construction);
 * the TF-IDF cosine kernel walks precomputed sparse id-weight arrays
   in the exact insertion order the scalar dot product uses, so even
   the float summation order matches.
@@ -265,14 +270,162 @@ class NumericKernel(Kernel):
         return np.where(both, scores, np.where(vids_a == vids_b, 1.0, 0.0))
 
 
-# -- memoized string kernels -------------------------------------------------
+# -- string kernels ----------------------------------------------------------
 
-# Distinct-pair memoization across stores and batches: the same two
-# strings are only ever scored once per process.  Scores come from the
-# scalar functions themselves, so identity holds by construction.
-_cached_levenshtein = lru_cache(maxsize=131072)(levenshtein)
-_cached_jaro = lru_cache(maxsize=131072)(jaro)
-_cached_jaro_winkler = lru_cache(maxsize=131072)(jaro_winkler)
+# Distinct pairs scored per numpy pass.  Pairs are sorted by length
+# first, so each chunk pads only to its own longest string; the chunk
+# size bounds every (pairs x length) temporary.
+_STRING_CHUNK = 2048
+
+
+def _code_points(strings: list[str], width: int) -> np.ndarray:
+    """``(len(strings), width)`` ``uint32`` code points, zero-padded.
+
+    Padding is indistinguishable from a real NUL character, so callers
+    mask by the Python ``len()`` of each string, never by the codes.
+    """
+    width = max(width, 1)
+    return (
+        np.array(strings, dtype=f"<U{width}")
+        .view(np.uint32)
+        .reshape(len(strings), width)
+    )
+
+
+class StringKernel(Kernel):
+    """Scores distinct string pairs in length-sorted numpy chunks.
+
+    Subclasses implement :meth:`score_chunk` over two padded code-point
+    matrices plus the true lengths; this base class gathers the strings,
+    sorts the pairs by their longer side, and scatters each chunk's
+    scores back to input order.
+    """
+
+    def unique_scores(self, store, vids_a, vids_b):
+        values = store.values
+        firsts = [values[vid] for vid in vids_a.tolist()]
+        seconds = [values[vid] for vid in vids_b.tolist()]
+        count = len(firsts)
+        len_a = np.fromiter(map(len, firsts), dtype=np.int64, count=count)
+        len_b = np.fromiter(map(len, seconds), dtype=np.int64, count=count)
+        order = np.argsort(np.maximum(len_a, len_b), kind="stable")
+        scores = np.empty(count, dtype=np.float64)
+        for start in range(0, count, _STRING_CHUNK):
+            chunk = order[start : start + _STRING_CHUNK]
+            chunk_a, chunk_b = len_a[chunk], len_b[chunk]
+            positions = chunk.tolist()
+            scores[chunk] = self.score_chunk(
+                _code_points([firsts[i] for i in positions], int(chunk_a.max())),
+                chunk_a,
+                _code_points([seconds[i] for i in positions], int(chunk_b.max())),
+                chunk_b,
+            )
+        return scores
+
+    def score_chunk(
+        self,
+        codes_a: np.ndarray,
+        len_a: np.ndarray,
+        codes_b: np.ndarray,
+        len_b: np.ndarray,
+    ) -> np.ndarray:
+        raise NotImplementedError
+
+
+class LevenshteinKernel(StringKernel):
+    """Vectorized :func:`~repro.matching.similarity.levenshtein`.
+
+    Runs the full edit-distance table one left character at a time for
+    every pair of the chunk.  Within a row the left-neighbour
+    recurrence ``D[i, j] = min(x[j], D[i, j-1] + 1)`` is a prefix
+    minimum, ``min_k<=j (x[k] - k) + j``, so each row is a handful of
+    array operations.  Distances are exact integers, and the final
+    ``1.0 - d / max(len)`` is the scalar's own expression.
+    """
+
+    name = "levenshtein"
+
+    def score_chunk(self, codes_a, len_a, codes_b, len_b):
+        columns = np.arange(codes_b.shape[1] + 1, dtype=np.int64)
+        row = np.broadcast_to(columns, (len(len_a), len(columns))).copy()
+        distance = len_b.copy()  # D[0, len_b]: the empty left strings
+        step = np.empty_like(row)
+        for i in range(1, int(len_a.max()) + 1):
+            substitute = codes_b != codes_a[:, i - 1, None]
+            step[:, 0] = i
+            np.minimum(row[:, 1:] + 1, row[:, :-1] + substitute, out=step[:, 1:])
+            row = np.minimum.accumulate(step - columns, axis=1) + columns
+            done = np.flatnonzero(len_a == i)
+            distance[done] = row[done, len_b[done]]
+        longest = np.maximum(len_a, len_b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scores = 1.0 - distance / longest
+        return np.where(longest == 0, 1.0, scores)
+
+
+class JaroKernel(StringKernel):
+    """Vectorized :func:`~repro.matching.similarity.jaro`.
+
+    Replays the scalar's greedy matching one left position at a time:
+    the candidate cells of a pair are the unmatched right characters
+    equal to the left one inside that pair's own window, and ``argmax``
+    takes the first, as the scalar's ``break`` does.  Transpositions
+    compare the matched characters of both sides in order.
+    """
+
+    name = "jaro"
+
+    def score_chunk(self, codes_a, len_a, codes_b, len_b):
+        columns = np.arange(codes_b.shape[1])
+        window = np.maximum(np.maximum(len_a, len_b) // 2 - 1, 0)[:, None]
+        in_b = columns < len_b[:, None]
+        open_b = in_b.copy()  # right cells still free to match
+        matched_a = np.zeros(codes_a.shape, dtype=bool)
+        for i in range(int(len_a.max())):
+            candidates = (
+                open_b
+                & (codes_b == codes_a[:, i, None])
+                & (np.abs(columns - i) <= window)
+                & (i < len_a)[:, None]
+            )
+            hit = np.flatnonzero(candidates.any(axis=1))
+            open_b[hit, candidates[hit].argmax(axis=1)] = False
+            matched_a[hit, i] = True
+        matched_b = in_b & ~open_b
+        matches = matched_a.sum(axis=1)
+        owner = np.nonzero(matched_a)[0]
+        crossed = codes_a[matched_a] != codes_b[matched_b]
+        transpositions = np.bincount(owner[crossed], minlength=len(len_a)) // 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scores = (
+                matches / len_a
+                + matches / len_b
+                + (matches - transpositions) / matches
+            ) / 3.0
+        scores = np.where(matches == 0, 0.0, scores)
+        return np.where((len_a == 0) & (len_b == 0), 1.0, scores)
+
+
+class JaroWinklerKernel(JaroKernel):
+    """Vectorized :func:`~repro.matching.similarity.jaro_winkler`.
+
+    Boosts only when the Jaro score *exceeds* 0.7, by the common prefix
+    of up to four characters at the scalar's default weight of 0.1.
+    """
+
+    name = "jaro_winkler"
+
+    def score_chunk(self, codes_a, len_a, codes_b, len_b):
+        base = super().score_chunk(codes_a, len_a, codes_b, len_b)
+        width = min(4, codes_a.shape[1], codes_b.shape[1])
+        same = (codes_a[:, :width] == codes_b[:, :width]) & (
+            np.arange(width) < np.minimum(len_a, len_b)[:, None]
+        )
+        prefix = np.logical_and.accumulate(same, axis=1).sum(axis=1)
+        return np.where(base > 0.7, base + prefix * 0.1 * (1.0 - base), base)
+
+
+# -- memoized Monge–Elkan ----------------------------------------------------
 
 
 @lru_cache(maxsize=262144)
@@ -408,11 +561,9 @@ class KernelPlan:
 def _builders():
     return {
         exact: lambda: ExactKernel(),
-        levenshtein: lambda: MemoizedKernel("levenshtein", _cached_levenshtein),
-        jaro: lambda: MemoizedKernel("jaro", _cached_jaro),
-        jaro_winkler: lambda: MemoizedKernel(
-            "jaro_winkler", _cached_jaro_winkler
-        ),
+        levenshtein: lambda: LevenshteinKernel(),
+        jaro: lambda: JaroKernel(),
+        jaro_winkler: lambda: JaroWinklerKernel(),
         token_jaccard: lambda: TokenJaccardKernel(),
         overlap_coefficient: lambda: OverlapKernel(),
         ngram_jaccard: lambda: NgramJaccardKernel(),

@@ -6,6 +6,9 @@ import pytest
 from repro.columnar import ColumnarStore, compare_block, kernel_for, plan_for
 from repro.columnar.kernels import (
     ExactKernel,
+    JaroKernel,
+    JaroWinklerKernel,
+    LevenshteinKernel,
     MemoizedKernel,
     NumericKernel,
     TfIdfKernel,
@@ -123,7 +126,14 @@ class TestKernelFor:
             kernel_for(SIMILARITY_FUNCTIONS["numeric"]), NumericKernel
         )
         assert isinstance(
-            kernel_for(SIMILARITY_FUNCTIONS["jaro_winkler"]), MemoizedKernel
+            kernel_for(SIMILARITY_FUNCTIONS["levenshtein"]), LevenshteinKernel
+        )
+        assert type(kernel_for(SIMILARITY_FUNCTIONS["jaro"])) is JaroKernel
+        assert isinstance(
+            kernel_for(SIMILARITY_FUNCTIONS["jaro_winkler"]), JaroWinklerKernel
+        )
+        assert isinstance(
+            kernel_for(SIMILARITY_FUNCTIONS["monge_elkan"]), MemoizedKernel
         )
 
     def test_tfidf_subclass_has_no_kernel(self):
