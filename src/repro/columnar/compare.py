@@ -7,8 +7,9 @@ by pair.  Per attribute it
 
 1. gathers the two value-id lanes of the block from the store's
    columns (two vectorized index operations),
-2. masks null lanes (value id 0) — those comparisons stay ``None``,
-   exactly like the scalar path's missing-value handling,
+2. masks null lanes (value id 0) — those comparisons stay NaN
+   (``None`` in the vectors), exactly like the scalar path's
+   missing-value handling,
 3. packs the remaining ``(vid_a, vid_b)`` lanes into 64-bit keys and
    deduplicates them with one ``np.unique`` — real-world blocks repeat
    the same value pairs constantly (blocking groups similar records),
@@ -19,10 +20,14 @@ Each attribute's pass runs under its own ``comparison.kernel`` span,
 annotated with the attribute, the kernel and the distinct-pair count,
 so a trace attributes the comparison time measure by measure.
 
-The resulting :class:`SimilarityVector` list is byte-identical to the
-scalar loop (same pairs, same attribute order, same Python ``float``
-scores) — every kernel guarantees bitwise score equality and the
-null/argument-order semantics are reproduced exactly.
+The scores land in one ``(pairs × attributes)`` float64 matrix, NaN
+where a comparison is missing, returned as a
+:class:`~repro.matching.attribute_matching.SimilarityMatrix`.  It
+builds no vector itself: the vectors it yields on demand are
+byte-identical to the scalar loop's (same pairs, same attribute order,
+same Python ``float`` scores, ``None`` for missing) — every kernel
+guarantees bitwise score equality and the null/argument-order
+semantics are reproduced exactly.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import numpy as np
 from repro.columnar.kernels import KernelPlan
 from repro.columnar.store import NULL_VID, ColumnarStore
 from repro.core.pairs import Pair
-from repro.matching.attribute_matching import SimilarityVector
+from repro.matching.attribute_matching import SimilarityMatrix
 from repro.telemetry.metrics import get_metrics
 from repro.telemetry.spans import span
 
@@ -73,14 +78,17 @@ def compare_block(
     store: ColumnarStore,
     pairs: Sequence[Pair],
     plan: KernelPlan,
-) -> list[SimilarityVector]:
-    """Similarity vectors of ``pairs``, scored by batch kernels.
+) -> SimilarityMatrix:
+    """Similarity matrix of ``pairs``, scored by batch kernels.
 
     ``pairs`` must already be canonical (:func:`repro.core.pairs.make_pair`)
-    and ordered by the caller; the i-th vector belongs to the i-th pair.
+    and ordered by the caller; row ``i`` belongs to the i-th pair.
     """
+    scores = np.full(
+        (len(pairs), len(plan.attributes)), np.nan, dtype=np.float64, order="F"
+    )
     if not pairs:
-        return []
+        return SimilarityMatrix(pairs, plan.attributes, scores)
     with span(
         "comparison.columnar",
         pairs=len(pairs),
@@ -95,11 +103,10 @@ def compare_block(
         ).reshape(-1, 2)
         rows_a = np.ascontiguousarray(rows[:, 0])
         rows_b = np.ascontiguousarray(rows[:, 1])
-        # Per attribute: the block's score lane as a Python list, with
-        # ``None`` punched in wherever either side's value is null.
-        columns: list[list[float | None]] = []
         distinct_total = 0
-        for attribute, kernel in zip(plan.attributes, plan.kernels):
+        for lane, attribute, kernel in zip(
+            scores.T, plan.attributes, plan.kernels
+        ):
             with span(
                 "comparison.kernel", attribute=attribute, kernel=kernel.name
             ) as kernel_span:
@@ -107,7 +114,6 @@ def compare_block(
                 vids_a = column[rows_a]
                 vids_b = column[rows_b]
                 present = (vids_a != NULL_VID) & (vids_b != NULL_VID)
-                scores = np.full(len(pairs), np.nan, dtype=np.float64)
                 distinct = 0
                 if present.any():
                     packed = (vids_a[present] << 32) | vids_b[present]
@@ -117,29 +123,11 @@ def compare_block(
                         unique >> 32,
                         unique & np.int64(0xFFFFFFFF),
                     )
-                    scores[present] = unique_scores[inverse]
+                    lane[present] = unique_scores[inverse]
                     distinct = len(unique)
                 kernel_span.annotate(distinct=distinct)
             distinct_total += distinct
-            lane: list[float | None] = scores.tolist()
-            if not present.all():
-                for position in np.flatnonzero(~present).tolist():
-                    lane[position] = None
-            columns.append(lane)
         _KERNEL_PAIRS.inc(len(pairs))
         if distinct_total:
             _KERNEL_DISTINCT.inc(distinct_total)
-        # Mass-construct the frozen vectors the way pickle revives them
-        # (__new__ plus a __dict__ write): the generated __init__ costs
-        # two object.__setattr__ calls per instance, which dominates the
-        # whole scoring pass at ~50k vectors per block.
-        attributes = plan.attributes
-        new = SimilarityVector.__new__
-        vectors = []
-        append = vectors.append
-        for pair, lanes in zip(pairs, zip(*columns)):
-            vector = new(SimilarityVector)
-            vector.__dict__["pair"] = pair
-            vector.__dict__["values"] = dict(zip(attributes, lanes))
-            append(vector)
-        return vectors
+        return SimilarityMatrix(pairs, plan.attributes, scores)

@@ -18,6 +18,7 @@ invariant the hypothesis suite pins down.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 
 from repro.core.experiment import Experiment
 from repro.core.pairs import ScoredPair
@@ -77,7 +78,7 @@ class GraphUpdater:
     def apply_batch(
         self,
         nodes: list[tuple[int, str]],
-        scored: list[ScoredPair],
+        scored: Sequence[ScoredPair],
         vectors=None,
     ) -> None:
         """Append one delta: new records plus their scored pairs.
@@ -105,14 +106,14 @@ class GraphUpdater:
                     )
                 component_rows[node_id] = node_id
             edge_rows = []
-            for index, scored_pair in enumerate(scored):
+            if vectors is None:
+                vectors = [None] * len(scored)
+            for scored_pair, vector in zip(scored, vectors, strict=True):
                 first = graph.node_of(scored_pair.first)
                 second = graph.node_of(scored_pair.second)
                 breakdown = None
-                if vectors is not None:
-                    breakdown = json.dumps(
-                        dict(vectors[index].values), sort_keys=True
-                    )
+                if vector is not None:
+                    breakdown = json.dumps(dict(vector.values), sort_keys=True)
                 relabels = graph.add_edge(
                     first,
                     second,
@@ -176,7 +177,7 @@ def build_graph_from_run(
             (index, record.record_id)
             for index, record in enumerate(run.dataset)
         ]
-        updater.apply_batch(nodes, list(run.scored_pairs), run.vectors)
+        updater.apply_batch(nodes, run.scored_pairs, run.vectors)
         return updater.graph
 
 

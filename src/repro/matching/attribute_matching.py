@@ -7,8 +7,11 @@ step 4.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.core.pairs import Pair
 from repro.core.records import Dataset, Record
@@ -16,10 +19,19 @@ from repro.matching.similarity import SIMILARITY_FUNCTIONS, Similarity
 
 __all__ = [
     "AttributeComparator",
+    "COMPENSATED_SUM",
+    "SimilarityMatrix",
     "SimilarityVector",
     "compare_pairs",
     "resolve_candidates",
+    "row_sums",
 ]
+
+# CPython 3.12 made ``sum()`` over floats Neumaier-compensated; earlier
+# interpreters add left to right (``sum([0.1, 0.2, 0.3])`` differs).
+# Array code promising the bits of a Python ``sum()`` follows the
+# running interpreter.
+COMPENSATED_SUM = sys.version_info >= (3, 12)
 
 
 @dataclass(frozen=True)
@@ -49,6 +61,138 @@ class SimilarityVector:
         if not present:
             return 0.0
         return sum(present) / len(present)
+
+
+def _vector(pair: Pair, values: dict[str, float | None]) -> SimilarityVector:
+    # Construct the frozen vector the way pickle revives it (__new__
+    # plus a __dict__ write): the generated __init__ costs two
+    # object.__setattr__ calls, which dominates when a whole block of
+    # vectors is materialized.
+    vector = SimilarityVector.__new__(SimilarityVector)
+    vector.__dict__["pair"] = pair
+    vector.__dict__["values"] = values
+    return vector
+
+
+def row_sums(
+    values: np.ndarray,
+    present: np.ndarray,
+    compensated: bool = COMPENSATED_SUM,
+) -> np.ndarray:
+    """Per row, the builtin ``sum()`` of the present entries, bit for bit.
+
+    ``values`` and ``present`` are ``(n, k)``; entries are added column
+    by column, left to right, as ``sum()`` visits a row's list.  With
+    ``compensated`` each addition also carries Neumaier's running error
+    term, added back at the end when it is finite and nonzero — what
+    CPython 3.12+ does for a sum of floats.
+    """
+    total = np.zeros(len(values))
+    error = np.zeros(len(values))
+    for column in range(values.shape[1]):
+        mask = present[:, column]
+        lane = np.where(mask, values[:, column], 0.0)
+        step = total + lane
+        if compensated:
+            term = np.where(
+                np.abs(total) >= np.abs(lane),
+                (total - step) + lane,
+                (lane - step) + total,
+            )
+            error = np.where(mask, error + term, error)
+        total = np.where(mask, step, total)
+    if compensated:
+        total = np.where(
+            (error != 0.0) & np.isfinite(error), total + error, total
+        )
+    return total
+
+
+class SimilarityMatrix(Sequence[SimilarityVector]):
+    """The similarity vectors of a block of pairs, as one score matrix.
+
+    ``scores[i, j]`` is the similarity of ``pairs[i]`` in
+    ``attributes[j]``; NaN marks a missing comparison (no measure
+    scores NaN — every one returns a number in ``[0, 1]``).  Indexing
+    and iteration build :class:`SimilarityVector` objects on demand,
+    with ``None`` for NaN, and a matrix compares equal to the list of
+    vectors it stands for — so callers that read vectors never see the
+    difference, while decision models with an array scorer read
+    ``scores`` directly.
+    """
+
+    __slots__ = ("pairs", "attributes", "scores")
+
+    def __init__(
+        self,
+        pairs: Sequence[Pair],
+        attributes: Sequence[str],
+        scores: np.ndarray,
+    ) -> None:
+        if scores.shape != (len(pairs), len(attributes)):
+            raise ValueError(
+                f"scores of shape {scores.shape} do not cover "
+                f"{len(pairs)} pairs x {len(attributes)} attributes"
+            )
+        self.pairs = pairs
+        self.attributes = tuple(attributes)
+        self.scores = scores
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SimilarityMatrix(
+                self.pairs[index], self.attributes, self.scores[index]
+            )
+        row = self.scores[index].tolist()
+        return _vector(
+            self.pairs[index],
+            {
+                attribute: None if value != value else value
+                for attribute, value in zip(self.attributes, row)
+            },
+        )
+
+    def __iter__(self):
+        # Per attribute: the score lane as a Python list, with ``None``
+        # punched in wherever the comparison is missing.
+        lanes = []
+        for scores in self.scores.T:
+            lane = scores.tolist()
+            for position in np.flatnonzero(np.isnan(scores)).tolist():
+                lane[position] = None
+            lanes.append(lane)
+        rows = zip(*lanes) if lanes else [()] * len(self)
+        attributes = self.attributes
+        for pair, row in zip(self.pairs, rows):
+            yield _vector(pair, dict(zip(attributes, row)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"SimilarityMatrix(pairs={len(self)}, "
+            f"attributes={self.attributes!r})"
+        )
+
+    def mean(self) -> np.ndarray:
+        """:meth:`SimilarityVector.mean` of every row, bit for bit."""
+        present = ~np.isnan(self.scores)
+        counts = present.sum(axis=1)
+        means = np.zeros(len(self))
+        np.divide(
+            row_sums(self.scores, present), counts, out=means, where=counts > 0
+        )
+        return means
 
 
 class AttributeComparator:

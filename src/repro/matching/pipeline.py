@@ -19,6 +19,8 @@ import time
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.columnar import (
     ColumnarStore,
     compare_block,
@@ -27,16 +29,18 @@ from repro.columnar import (
     plan_for,
 )
 from repro.core.experiment import Experiment, Match
-from repro.core.pairs import Pair, ScoredPair
+from repro.core.pairs import Pair, ScoredPair, ScoredPairs
 from repro.core.records import Dataset, Record
 from repro.matching.attribute_matching import (
     AttributeComparator,
+    SimilarityMatrix,
     SimilarityVector,
     compare_pairs,
     resolve_candidates,
 )
 from repro.matching.clustering_algorithms import CLUSTERING_ALGORITHMS
 from repro.matching.fusion import fuse_dataset
+from repro.matching.threshold import WeightedAverageModel
 from repro.telemetry import metrics as _telemetry_metrics
 from repro.telemetry import spans as _tracing
 
@@ -57,6 +61,11 @@ _MATCHES_ACCEPTED = _telemetry_metrics.get_metrics().counter(
 _PAIRS_COMPARED = _telemetry_metrics.get_metrics().counter(
     "frost_comparison_pairs_total",
     "Candidate pairs scored by the similarity comparison stage",
+)
+_DECISION_FALLBACK = _telemetry_metrics.get_metrics().counter(
+    "frost_decision_fallback_pairs_total",
+    "Pairs of a similarity matrix scored one vector at a time "
+    "(the decision model has no array scorer)",
 )
 _DISK_FALLBACKS = _telemetry_metrics.get_metrics().counter(
     "frost_blocking_disk_fallback_total",
@@ -84,6 +93,7 @@ __all__ = [
     "COLUMNAR_MIN_PAIRS",
     "PipelineRun",
     "MatchingPipeline",
+    "decision_plan",
     "normalize_whitespace",
     "lowercase_values",
 ]
@@ -91,6 +101,37 @@ __all__ = [
 Preparer = Callable[[Record], Record]
 CandidateGenerator = Callable[[Dataset], set[Pair]]
 DecisionModel = Callable[[SimilarityVector], float]
+ArrayScorer = Callable[[SimilarityMatrix], np.ndarray]
+
+
+def _plain_number(value: object) -> bool:
+    return type(value) in (int, float)
+
+
+def decision_plan(model: DecisionModel) -> tuple[str, ArrayScorer] | None:
+    """``(plan name, array scorer)`` reproducing ``model``, or ``None``.
+
+    Planned by identity, like :func:`repro.columnar.plan_for`: only
+    models whose Python arithmetic an array scorer reproduces bit for
+    bit qualify — the streaming sessions' ``mean_similarity`` (``"mean"``)
+    and exact :class:`~repro.matching.threshold.WeightedAverageModel`
+    instances with ``int``/``float`` weights and penalty
+    (``"weighted_average"``).  Every other model — subclasses, rule
+    sets (which count rule firings as they score), learned models,
+    lambdas — is scored one vector at a time.
+    """
+    # streaming builds on this module, so its model is looked up late
+    from repro.streaming.session import mean_similarity
+
+    if model is mean_similarity:
+        return "mean", SimilarityMatrix.mean
+    if type(model) is WeightedAverageModel:
+        penalty = model.missing_penalty
+        if all(map(_plain_number, model.weights.values())) and (
+            penalty is None or _plain_number(penalty)
+        ):
+            return "weighted_average", model.score_matrix
+    return None
 
 
 def normalize_whitespace(record: Record) -> Record:
@@ -125,7 +166,7 @@ class PipelineRun:
     prepared: Dataset
     candidates: set[Pair]
     vectors: Sequence[SimilarityVector]
-    scored_pairs: list[ScoredPair]
+    scored_pairs: Sequence[ScoredPair]
     experiment: Experiment
     fused: Dataset | None = None
     stage_seconds: dict[str, float] = field(default_factory=dict)
@@ -258,7 +299,7 @@ class MatchingPipeline:
 
     def compare_candidates(
         self, prepared: Dataset, candidates: set[Pair]
-    ) -> list[SimilarityVector]:
+    ) -> Sequence[SimilarityVector]:
         """Step 3 — similarity vectors of the candidate pairs.
 
         Candidates are visited in sorted order, so vector/score lists —
@@ -270,10 +311,13 @@ class MatchingPipeline:
 
         Blocks of at least :data:`COLUMNAR_MIN_PAIRS` pairs are scored
         by the batch kernels of :mod:`repro.columnar` when every
-        configured measure has one (:func:`repro.columnar.plan_for`);
-        anything else runs the scalar :func:`compare_pairs` loop.  The
-        kernels are byte-identical to the scalar measures, so the
-        choice changes speed, never output.  Pairs whose records were
+        configured measure has one (:func:`repro.columnar.plan_for`)
+        and come back as one
+        :class:`~repro.matching.attribute_matching.SimilarityMatrix`;
+        anything else runs the scalar :func:`compare_pairs` loop into a
+        list.  The kernels are byte-identical to the scalar measures
+        and the matrix equals the list it stands for, so the choice
+        changes speed, never output.  Pairs whose records were
         deleted between blocking and scoring are skipped with a warning
         instead of raising ``KeyError``.
         """
@@ -322,20 +366,48 @@ class MatchingPipeline:
 
     def score_vectors(
         self, vectors: Sequence[SimilarityVector]
-    ) -> list[ScoredPair]:
-        """Step 4 — decision-model scores of the similarity vectors."""
-        with _tracing.span("pipeline.decision", vectors=len(vectors)):
+    ) -> Sequence[ScoredPair]:
+        """Step 4 — decision-model scores of the similarity vectors.
+
+        A :class:`~repro.matching.attribute_matching.SimilarityMatrix`
+        whose decision model has an array scorer (:func:`decision_plan`)
+        is scored in numpy into a :class:`~repro.core.pairs.ScoredPairs`
+        view, building no :class:`ScoredPair`; anything else is scored
+        one vector at a time into a list.  The span's ``plan``
+        annotation names the path taken (``"mean"``,
+        ``"weighted_average"`` or ``"scalar"``).
+        """
+        with _tracing.span("pipeline.decision", vectors=len(vectors)) as span:
+            if isinstance(vectors, SimilarityMatrix):
+                plan = decision_plan(self.decision_model)
+                if plan is not None:
+                    name, scorer = plan
+                    span.annotate(plan=name)
+                    return ScoredPairs(vectors.pairs, scorer(vectors))
+                if vectors:
+                    _DECISION_FALLBACK.inc(len(vectors))
+            span.annotate(plan="scalar")
             return [
                 ScoredPair(score=self.decision_model(vector), pair=vector.pair)
                 for vector in vectors
             ]
+
+    def accept(self, scored_pairs: Sequence[ScoredPair]) -> list[ScoredPair]:
+        """The scored pairs at or above :attr:`threshold`, in order.
+
+        A :class:`~repro.core.pairs.ScoredPairs` view is thresholded
+        with one mask over its score array.
+        """
+        if isinstance(scored_pairs, ScoredPairs):
+            return scored_pairs.at_least(self.threshold)
+        return [sp for sp in scored_pairs if sp.score >= self.threshold]
 
     def _cluster(self, scored_pairs: Sequence[ScoredPair]):
         """Step 5 — threshold, cluster, and assemble the experiment."""
         with _tracing.span(
             "pipeline.clustering", scored=len(scored_pairs)
         ) as span:
-            accepted = [sp for sp in scored_pairs if sp.score >= self.threshold]
+            accepted = self.accept(scored_pairs)
             clustering = self.clustering(accepted)
             accepted_set = {sp.pair for sp in accepted}
             score_of = {sp.pair: sp.score for sp in accepted}
@@ -528,9 +600,7 @@ class MatchingPipeline:
         pairs have a similarity score assigned").
         """
         run = self.run(dataset)
-        pairs = run.scored_pairs if keep_all else [
-            sp for sp in run.scored_pairs if sp.score >= self.threshold
-        ]
+        pairs = run.scored_pairs if keep_all else self.accept(run.scored_pairs)
         return Experiment(
             (Match(pair=sp.pair, score=sp.score) for sp in pairs),
             name=f"{self.name}-scored",

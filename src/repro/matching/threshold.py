@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from repro.matching.attribute_matching import SimilarityVector
+import numpy as np
+
+from repro.matching.attribute_matching import SimilarityMatrix, SimilarityVector
 
 __all__ = ["WeightedAverageModel", "best_threshold"]
 
@@ -56,6 +58,38 @@ class WeightedAverageModel:
         if total_weight == 0.0:
             return 0.0
         return total / total_weight
+
+    def score_matrix(self, matrix: SimilarityMatrix) -> np.ndarray:
+        """:meth:`score` of every row of ``matrix``, bit for bit.
+
+        Runs :meth:`score`'s loop once per weight over whole columns:
+        the same additions in the same order, masked where a value is
+        missing, so each row gets the very same double.  Only exact for
+        ``int``/``float`` weights and penalty (see
+        :func:`repro.matching.pipeline.decision_plan`).
+        """
+        rows = len(matrix)
+        column_of = {name: j for j, name in enumerate(matrix.attributes)}
+        missing = np.full(rows, np.nan)
+        total = np.zeros(rows)
+        total_weight = np.zeros(rows)
+        for attribute, weight in self.weights.items():
+            column = column_of.get(attribute)
+            values = missing if column is None else matrix.scores[:, column]
+            present = ~np.isnan(values)
+            if self.missing_penalty is None:
+                total = np.where(present, total + weight * values, total)
+                total_weight = np.where(
+                    present, total_weight + weight, total_weight
+                )
+            else:
+                total = total + np.where(
+                    present, weight * values, weight * self.missing_penalty
+                )
+                total_weight = total_weight + weight
+        scores = np.zeros(rows)
+        np.divide(total, total_weight, out=scores, where=total_weight != 0.0)
+        return scores
 
 
 def best_threshold(

@@ -982,33 +982,38 @@ class FrostStore:
         ``(first_node, second_node, score, accepted, breakdown_json)``
         in canonical pair order, and ``components`` rows
         ``(node_id, component)``.
+
+        The reads hold the store's write lock, so a batch another
+        thread of this process appends concurrently is seen whole or
+        not at all (node and edge rows always agree).
         """
-        meta = self.graph_meta(name)
-        graph_id = self._graph_id(name)
-        nodes = list(
-            self._connection.execute(
-                "SELECT node_id, native_id FROM graph_nodes "
-                "WHERE graph_id = ? ORDER BY node_id",
-                (graph_id,),
+        with self._lock:
+            meta = self.graph_meta(name)
+            graph_id = self._graph_id(name)
+            nodes = list(
+                self._connection.execute(
+                    "SELECT node_id, native_id FROM graph_nodes "
+                    "WHERE graph_id = ? ORDER BY node_id",
+                    (graph_id,),
+                )
             )
-        )
-        edges = [
-            (first, second, score, bool(accepted), breakdown)
-            for first, second, score, accepted, breakdown
-            in self._connection.execute(
-                "SELECT first_node, second_node, score, accepted, breakdown "
-                "FROM graph_edges WHERE graph_id = ? "
-                "ORDER BY first_node, second_node",
-                (graph_id,),
+            edges = [
+                (first, second, score, bool(accepted), breakdown)
+                for first, second, score, accepted, breakdown
+                in self._connection.execute(
+                    "SELECT first_node, second_node, score, accepted, breakdown "
+                    "FROM graph_edges WHERE graph_id = ? "
+                    "ORDER BY first_node, second_node",
+                    (graph_id,),
+                )
+            ]
+            components = list(
+                self._connection.execute(
+                    "SELECT node_id, component FROM graph_components "
+                    "WHERE graph_id = ? ORDER BY node_id",
+                    (graph_id,),
+                )
             )
-        ]
-        components = list(
-            self._connection.execute(
-                "SELECT node_id, component FROM graph_components "
-                "WHERE graph_id = ? ORDER BY node_id",
-                (graph_id,),
-            )
-        )
         return {
             "meta": meta,
             "nodes": nodes,

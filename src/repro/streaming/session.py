@@ -67,7 +67,10 @@ def mean_similarity(vector: SimilarityVector) -> float:
     """Decision model: mean of the non-missing attribute similarities.
 
     A module-level function (not a lambda) so sessions built from JSON
-    configs stay content-fingerprintable by the engine.
+    configs stay content-fingerprintable by the engine.  Pipelines
+    score a whole similarity matrix with it in numpy
+    (:func:`repro.matching.pipeline.decision_plan` plans it by
+    identity); this per-vector form is the fallback and the oracle.
     """
     return vector.mean()
 
@@ -377,9 +380,7 @@ class StreamingMatcher:
             _PreparedView(self._prepared), delta.pairs
         )
         scored = self.pipeline.score_vectors(vectors)
-        accepted = [
-            sp for sp in scored if sp.score >= self.pipeline.threshold
-        ]
+        accepted = self.pipeline.accept(scored)
 
         # Step 5, incrementally: fold accepted matches into the
         # persistent union-find (connected components maintenance).

@@ -1,5 +1,7 @@
 """Columnar/scalar equivalence: kernels vs. the scalar loop, fallback, wiring."""
 
+import json
+import math
 import random
 import struct
 
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core.pairs import make_pair
 from repro.core.records import Dataset, Record
+from repro.graph.build import GraphUpdater
 from repro.matching.attribute_matching import (
     AttributeComparator,
     compare_pairs,
@@ -17,6 +20,7 @@ from repro.matching.attribute_matching import (
 from repro.matching.blocking import first_token_key, standard_blocking
 from repro.matching.pipeline import COLUMNAR_MIN_PAIRS, MatchingPipeline
 from repro.matching.similarity import SIMILARITY_FUNCTIONS
+from repro.storage.database import FrostStore
 from repro.telemetry import get_tracer
 from repro.telemetry.metrics import get_metrics
 
@@ -168,6 +172,43 @@ class TestDispatch:
         tracer.reset()
         assert compared.value - before == count
         assert_identical(scalar(dataset, pairs), fast)
+
+    @pytest.mark.parametrize(
+        "count",
+        [COLUMNAR_MIN_PAIRS - 1, COLUMNAR_MIN_PAIRS + 1],
+        ids=["below-gate", "above-gate"],
+    )
+    def test_null_lanes_are_none_never_nan(self, dataset, candidates, count):
+        """Missing comparisons surface as ``None`` on both paths — in the
+        vectors (iterated and indexed) and in the graph edge breakdowns
+        serialized from them — never as the matrix's NaN."""
+        pairs = sorted(candidates)[:count]
+        pipe = pipeline()
+        vectors = pipe.compare_candidates(dataset, pairs)
+        for values in (
+            [vector.values for vector in vectors],
+            [vectors[index].values for index in range(len(vectors))],
+        ):
+            lanes = [value for row in values for value in row.values()]
+            assert None in lanes  # the block really has null lanes
+            assert not any(
+                isinstance(value, float) and math.isnan(value) for value in lanes
+            )
+        store = FrostStore(":memory:")
+        updater = GraphUpdater.create(store, "evidence", threshold=0.8)
+        updater.apply_batch(
+            [(index, record.record_id) for index, record in enumerate(dataset)],
+            pipe.score_vectors(vectors),
+            vectors,
+        )
+        edges = store.load_graph("evidence")["edges"]
+        assert len(edges) == count
+        breakdowns = [edge[4] for edge in edges]
+        assert not any("NaN" in breakdown for breakdown in breakdowns)
+        assert any(
+            None in json.loads(breakdown).values() for breakdown in breakdowns
+        )
+        store.close()
 
     def test_attribute_absent_from_dataset_scores_none(self, dataset, candidates):
         """A compared attribute the prepared layout lacks forces a fresh
