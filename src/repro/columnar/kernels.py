@@ -35,6 +35,7 @@ kernel — otherwise the caller falls back to the scalar loop.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -56,7 +57,13 @@ from repro.matching.similarity import (
     token_jaccard,
 )
 
-__all__ = ["Kernel", "KernelPlan", "plan_for", "kernel_for"]
+__all__ = [
+    "Kernel",
+    "KernelPlan",
+    "plan_for",
+    "kernel_for",
+    "levenshtein_distances",
+]
 
 
 class Kernel:
@@ -292,35 +299,83 @@ def _code_points(strings: list[str], width: int) -> np.ndarray:
     )
 
 
+def _length_sorted_chunks(
+    firsts: Sequence[str], seconds: Sequence[str], score_chunk, dtype
+) -> np.ndarray:
+    """``score_chunk`` over every ``(firsts[k], seconds[k])``, in input order.
+
+    Sorts the pairs by their longer side and scores them in chunks of
+    :data:`_STRING_CHUNK`, each padded only to its own longest string.
+    """
+    count = len(firsts)
+    len_a = np.fromiter(map(len, firsts), dtype=np.int64, count=count)
+    len_b = np.fromiter(map(len, seconds), dtype=np.int64, count=count)
+    order = np.argsort(np.maximum(len_a, len_b), kind="stable")
+    results = np.empty(count, dtype=dtype)
+    for start in range(0, count, _STRING_CHUNK):
+        chunk = order[start : start + _STRING_CHUNK]
+        chunk_a, chunk_b = len_a[chunk], len_b[chunk]
+        positions = chunk.tolist()
+        results[chunk] = score_chunk(
+            _code_points([firsts[i] for i in positions], int(chunk_a.max())),
+            chunk_a,
+            _code_points([seconds[i] for i in positions], int(chunk_b.max())),
+            chunk_b,
+        )
+    return results
+
+
+def _levenshtein_chunk(
+    codes_a: np.ndarray, len_a: np.ndarray, codes_b: np.ndarray, len_b: np.ndarray
+) -> np.ndarray:
+    """Exact edit distances of one chunk of padded code-point pairs.
+
+    Runs the full edit-distance table one left character at a time for
+    every pair of the chunk.  Within a row the left-neighbour
+    recurrence ``D[i, j] = min(x[j], D[i, j-1] + 1)`` is a prefix
+    minimum, ``min_k<=j (x[k] - k) + j``, so each row is a handful of
+    array operations.
+    """
+    columns = np.arange(codes_b.shape[1] + 1, dtype=np.int64)
+    row = np.broadcast_to(columns, (len(len_a), len(columns))).copy()
+    distance = len_b.copy()  # D[0, len_b]: the empty left strings
+    step = np.empty_like(row)
+    for i in range(1, int(len_a.max()) + 1):
+        substitute = codes_b != codes_a[:, i - 1, None]
+        step[:, 0] = i
+        np.minimum(row[:, 1:] + 1, row[:, :-1] + substitute, out=step[:, 1:])
+        row = np.minimum.accumulate(step - columns, axis=1) + columns
+        done = np.flatnonzero(len_a == i)
+        distance[done] = row[done, len_b[done]]
+    return distance
+
+
+def levenshtein_distances(
+    firsts: Sequence[str], seconds: Sequence[str]
+) -> np.ndarray:
+    """Exact edit distance of every ``(firsts[k], seconds[k])`` (``int64``).
+
+    The batch form of
+    :func:`~repro.matching.similarity.levenshtein_distance`, shared by
+    :class:`LevenshteinKernel` and error categorization's typo step.
+    """
+    return _length_sorted_chunks(firsts, seconds, _levenshtein_chunk, np.int64)
+
+
 class StringKernel(Kernel):
     """Scores distinct string pairs in length-sorted numpy chunks.
 
     Subclasses implement :meth:`score_chunk` over two padded code-point
-    matrices plus the true lengths; this base class gathers the strings,
-    sorts the pairs by their longer side, and scatters each chunk's
-    scores back to input order.
+    matrices plus the true lengths; this base class gathers the strings
+    and leaves sorting, chunking and scattering to
+    :func:`_length_sorted_chunks`.
     """
 
     def unique_scores(self, store, vids_a, vids_b):
         values = store.values
         firsts = [values[vid] for vid in vids_a.tolist()]
         seconds = [values[vid] for vid in vids_b.tolist()]
-        count = len(firsts)
-        len_a = np.fromiter(map(len, firsts), dtype=np.int64, count=count)
-        len_b = np.fromiter(map(len, seconds), dtype=np.int64, count=count)
-        order = np.argsort(np.maximum(len_a, len_b), kind="stable")
-        scores = np.empty(count, dtype=np.float64)
-        for start in range(0, count, _STRING_CHUNK):
-            chunk = order[start : start + _STRING_CHUNK]
-            chunk_a, chunk_b = len_a[chunk], len_b[chunk]
-            positions = chunk.tolist()
-            scores[chunk] = self.score_chunk(
-                _code_points([firsts[i] for i in positions], int(chunk_a.max())),
-                chunk_a,
-                _code_points([seconds[i] for i in positions], int(chunk_b.max())),
-                chunk_b,
-            )
-        return scores
+        return _length_sorted_chunks(firsts, seconds, self.score_chunk, np.float64)
 
     def score_chunk(
         self,
@@ -335,28 +390,14 @@ class StringKernel(Kernel):
 class LevenshteinKernel(StringKernel):
     """Vectorized :func:`~repro.matching.similarity.levenshtein`.
 
-    Runs the full edit-distance table one left character at a time for
-    every pair of the chunk.  Within a row the left-neighbour
-    recurrence ``D[i, j] = min(x[j], D[i, j-1] + 1)`` is a prefix
-    minimum, ``min_k<=j (x[k] - k) + j``, so each row is a handful of
-    array operations.  Distances are exact integers, and the final
-    ``1.0 - d / max(len)`` is the scalar's own expression.
+    Distances come from :func:`_levenshtein_chunk` as exact integers,
+    and the final ``1.0 - d / max(len)`` is the scalar's own expression.
     """
 
     name = "levenshtein"
 
     def score_chunk(self, codes_a, len_a, codes_b, len_b):
-        columns = np.arange(codes_b.shape[1] + 1, dtype=np.int64)
-        row = np.broadcast_to(columns, (len(len_a), len(columns))).copy()
-        distance = len_b.copy()  # D[0, len_b]: the empty left strings
-        step = np.empty_like(row)
-        for i in range(1, int(len_a.max()) + 1):
-            substitute = codes_b != codes_a[:, i - 1, None]
-            step[:, 0] = i
-            np.minimum(row[:, 1:] + 1, row[:, :-1] + substitute, out=step[:, 1:])
-            row = np.minimum.accumulate(step - columns, axis=1) + columns
-            done = np.flatnonzero(len_a == i)
-            distance[done] = row[done, len_b[done]]
+        distance = _levenshtein_chunk(codes_a, len_a, codes_b, len_b)
         longest = np.maximum(len_a, len_b)
         with np.errstate(divide="ignore", invalid="ignore"):
             scores = 1.0 - distance / longest

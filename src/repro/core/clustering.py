@@ -10,6 +10,7 @@ sets, and clustering intersection.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import combinations
 
@@ -45,6 +46,7 @@ class Clustering:
             materialized.append(members)
         self._clusters = materialized
         self._membership = membership
+        self._pair_count: int | None = None
 
     # -- constructors ----------------------------------------------------------
 
@@ -154,8 +156,32 @@ class Clustering:
         return result
 
     def pair_count(self) -> int:
-        """Number of intra-cluster pairs without materializing them."""
-        return sum(len(c) * (len(c) - 1) // 2 for c in self._clusters)
+        """Number of intra-cluster pairs without materializing them (cached)."""
+        if self._pair_count is None:
+            self._pair_count = sum(
+                len(c) * (len(c) - 1) // 2 for c in self._clusters
+            )
+        return self._pair_count
+
+    def shared_pair_count(self, other: "Clustering") -> int:
+        """Pairs clustered together by both clusterings.
+
+        Equals ``self.intersect(other).pair_count()`` — the true-positive
+        count when ``self`` is an experiment and ``other`` the ground
+        truth (Appendix D.4) — without building the intersection: each
+        non-trivial cluster of ``self`` counts the ``other`` labels of
+        its members and adds ``C(count, 2)`` per label.  Records that
+        ``other`` does not mention are singletons there and share no
+        pair.  Linear in the records of ``self``'s non-trivial clusters.
+        """
+        label_of = other._membership.get
+        shared = 0
+        for cluster in self._clusters:
+            if len(cluster) > 1:
+                counts = Counter(map(label_of, cluster))
+                counts.pop(None, None)
+                shared += sum(c * (c - 1) // 2 for c in counts.values())
+        return shared
 
     def cluster_sizes(self) -> list[int]:
         """Sizes of all (explicit) clusters, descending."""

@@ -80,11 +80,13 @@ class ConfusionMatrix:
         """Confusion matrix from clusterings, in near-linear time.
 
         Uses the identity TP == pair count of the intersection
-        clustering (Appendix D.4), avoiding pair materialization:
-        runtime is linear in the number of records mentioned, not
-        quadratic in cluster sizes.
+        clustering (Appendix D.4), counted by
+        :meth:`Clustering.shared_pair_count` without building the
+        intersection or materializing pairs: runtime is linear in the
+        records of the experiment's non-trivial clusters, not quadratic
+        in cluster sizes.
         """
-        tp = experiment.intersect(ground_truth).pair_count()
+        tp = experiment.shared_pair_count(ground_truth)
         experiment_pairs = experiment.pair_count()
         truth_pairs = ground_truth.pair_count()
         fp = experiment_pairs - tp

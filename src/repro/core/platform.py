@@ -50,6 +50,17 @@ class FrostPlatform:
         # grows mid-iteration raises RuntimeError.  Plain key lookups
         # are atomic under the GIL and stay lock-free.
         self._registry_lock = threading.RLock()
+        # Exploration state computed once per artifact: confusion
+        # matrices and timelines, keyed per dataset by (kind, experiment,
+        # gold[, checkpoint interval]).  Registered artifacts are never
+        # replaced today, so entries cannot go stale.  A registry write
+        # to a dataset still drops its entries (see _notify): the memo
+        # then follows the same invalidation signal as the serving
+        # cache, so a later replace or delete path stays correct without
+        # touching it.  The price is that registering an artifact
+        # recomputes that dataset's matrices and timelines on next use.
+        self._memo_lock = threading.Lock()
+        self._memo: dict[str, dict[tuple, object]] = {}
 
     # -- registry -------------------------------------------------------------------
 
@@ -70,7 +81,23 @@ class FrostPlatform:
         self._listeners.subscribe(listener)
 
     def _notify(self, dataset_name: str) -> None:
+        with self._memo_lock:
+            self._memo.pop(dataset_name, None)
         self._listeners.notify(dataset_name)
+
+    def _memoized(self, dataset_name: str, key: tuple, compute):
+        """``compute()`` once per ``key`` until ``dataset_name`` changes.
+
+        Concurrent first calls may both compute; every caller gets the
+        value stored first.
+        """
+        with self._memo_lock:
+            memo = self._memo.get(dataset_name, {})
+            if key in memo:
+                return memo[key]
+        value = compute()
+        with self._memo_lock:
+            return self._memo.setdefault(dataset_name, {}).setdefault(key, value)
 
     def add_dataset(self, dataset: Dataset) -> None:
         """Register a dataset under its name."""
@@ -162,14 +189,22 @@ class FrostPlatform:
     def confusion(
         self, dataset_name: str, experiment_name: str, gold_name: str
     ) -> ConfusionMatrix:
-        """Pair-level confusion matrix of one experiment vs one gold."""
+        """Pair-level confusion matrix of one experiment vs one gold.
+
+        Computed once per (experiment, gold) and kept until the next
+        registry write to the dataset.
+        """
         entry = self._entry(dataset_name)
         experiment = self.experiment(dataset_name, experiment_name)
         gold = self.gold(dataset_name, gold_name)
-        return ConfusionMatrix.from_clusterings(
-            experiment.clustering(),
-            gold.clustering,
-            entry.dataset.total_pairs(),
+        return self._memoized(
+            dataset_name,
+            ("confusion", experiment_name, gold_name),
+            lambda: ConfusionMatrix.from_clusterings(
+                experiment.clustering(),
+                gold.clustering,
+                entry.dataset.total_pairs(),
+            ),
         )
 
     def metrics_table(
@@ -233,14 +268,21 @@ class FrostPlatform:
     ):
         """A :class:`~repro.core.timeline.DiagramTimeline` over
         registered artifacts (threshold exploration with cheap rewinds).
+
+        One shared timeline per (experiment, gold, checkpoint interval),
+        kept until the next registry write to the dataset.
         """
         from repro.core.timeline import DiagramTimeline
 
-        return DiagramTimeline(
-            self.dataset(dataset_name),
-            self.experiment(dataset_name, experiment_name),
-            self.gold(dataset_name, gold_name),
-            checkpoint_every=checkpoint_every,
+        dataset = self.dataset(dataset_name)
+        experiment = self.experiment(dataset_name, experiment_name)
+        gold = self.gold(dataset_name, gold_name)
+        return self._memoized(
+            dataset_name,
+            ("timeline", experiment_name, gold_name, checkpoint_every),
+            lambda: DiagramTimeline(
+                dataset, experiment, gold, checkpoint_every=checkpoint_every
+            ),
         )
 
     def compare_sets(

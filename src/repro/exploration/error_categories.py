@@ -20,9 +20,11 @@ from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
+from repro.columnar.kernels import levenshtein_distances
 from repro.core.experiment import Experiment, GoldStandard
 from repro.core.pairs import Pair
 from repro.core.records import Dataset, Record
+from repro.matching.similarity import levenshtein_distance
 
 __all__ = [
     "ValueRelation",
@@ -50,27 +52,6 @@ def _normalized(value: str) -> str:
     return " ".join(value.lower().split())
 
 
-def _levenshtein(first: str, second: str, limit: int) -> int:
-    """Edit distance, early-exiting once it must exceed ``limit``."""
-    if abs(len(first) - len(second)) > limit:
-        return limit + 1
-    previous = list(range(len(second) + 1))
-    for i, char_a in enumerate(first, start=1):
-        current = [i]
-        row_minimum = i
-        for j, char_b in enumerate(second, start=1):
-            cost = 0 if char_a == char_b else 1
-            value = min(
-                previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost
-            )
-            current.append(value)
-            row_minimum = min(row_minimum, value)
-        if row_minimum > limit:
-            return limit + 1
-        previous = current
-    return previous[-1]
-
-
 def _abbreviates(first: str, second: str) -> bool:
     """Whether token ``first`` abbreviates ``second`` ('j.' vs 'john')."""
     stem = first.rstrip(".")
@@ -94,14 +75,20 @@ def _token_abbreviation_match(first: str, second: str) -> bool:
     return saw_abbreviation
 
 
-def classify_value_pair(
-    first: str | None, second: str | None, typo_threshold: int = 2
-) -> ValueRelation:
-    """Classify the relationship between two attribute values.
+def _check_typo_threshold(typo_threshold: int) -> None:
+    if typo_threshold < 0:
+        raise ValueError(
+            f"typo_threshold must be >= 0, got {typo_threshold}"
+        )
 
-    ``typo_threshold`` is the maximum edit distance (after
-    normalization) still considered a typo rather than a conflicting
-    value.
+
+def _relation_before_typo(
+    first: str | None, second: str | None
+) -> ValueRelation | tuple[str, str]:
+    """Every step of :func:`classify_value_pair` but the typo step.
+
+    Returns the decided relation, or the normalized value pair whose
+    edit distance decides between ``TYPO`` and ``DIFFERENT``.
     """
     if first is None and second is None:
         return ValueRelation.BOTH_NULL
@@ -116,9 +103,48 @@ def classify_value_pair(
         return ValueRelation.WORD_ORDER
     if _token_abbreviation_match(normalized_a, normalized_b):
         return ValueRelation.ABBREVIATION
-    if _levenshtein(normalized_a, normalized_b, typo_threshold) <= typo_threshold:
-        return ValueRelation.TYPO
-    return ValueRelation.DIFFERENT
+    return normalized_a, normalized_b
+
+
+def classify_value_pair(
+    first: str | None, second: str | None, typo_threshold: int = 2
+) -> ValueRelation:
+    """Classify the relationship between two attribute values.
+
+    ``typo_threshold`` is the maximum edit distance (after
+    normalization) still considered a typo rather than a conflicting
+    value; it must not be negative.
+    """
+    _check_typo_threshold(typo_threshold)
+    relation = _relation_before_typo(first, second)
+    if isinstance(relation, ValueRelation):
+        return relation
+    distance = levenshtein_distance(*relation, bound=typo_threshold)
+    return ValueRelation.TYPO if distance <= typo_threshold else ValueRelation.DIFFERENT
+
+
+def _typo_pairs(
+    pending: Iterable[tuple[str, str]], typo_threshold: int
+) -> set[tuple[str, str]]:
+    """The normalized value pairs within ``typo_threshold`` edits.
+
+    Pairs whose lengths already differ by more than the threshold are
+    ruled out without a distance; the rest are measured in one batch.
+    """
+    candidates = [
+        pair for pair in pending
+        if abs(len(pair[0]) - len(pair[1])) <= typo_threshold
+    ]
+    if not candidates:
+        return set()
+    distances = levenshtein_distances(
+        [first for first, _ in candidates], [second for _, second in candidates]
+    )
+    return {
+        pair
+        for pair, distance in zip(candidates, distances.tolist())
+        if distance <= typo_threshold
+    }
 
 
 def categorize_record_pair(
@@ -230,6 +256,7 @@ def categorize_errors(
     each that are categorized (both picked deterministically in sorted
     pair order) — useful on large, low-precision experiments.
     """
+    _check_typo_threshold(typo_threshold)
     names = tuple(attributes) if attributes is not None else dataset.attributes
     experiment_pairs = experiment.pairs()
     gold_pairs = gold.pairs()
@@ -239,11 +266,38 @@ def categorize_errors(
         false_negatives = false_negatives[:limit]
         false_positives = false_positives[:limit]
 
+    # Classify every value pair up to the typo step, then settle all
+    # typo steps with one batched distance over the distinct pairs.
+    undecided: dict[Pair, dict[str, ValueRelation | tuple[str, str]]] = {}
+    for pair in (*false_negatives, *false_positives):
+        first, second = dataset[pair[0]], dataset[pair[1]]
+        undecided[pair] = {
+            attribute: _relation_before_typo(
+                first.value(attribute), second.value(attribute)
+            )
+            for attribute in names
+        }
+    pending = {
+        relation
+        for relations in undecided.values()
+        for relation in relations.values()
+        if not isinstance(relation, ValueRelation)
+    }
+    typos = _typo_pairs(pending, typo_threshold)
+
+    def settled(pair: Pair) -> dict[str, ValueRelation]:
+        return {
+            attribute: (
+                relation if isinstance(relation, ValueRelation)
+                else ValueRelation.TYPO if relation in typos
+                else ValueRelation.DIFFERENT
+            )
+            for attribute, relation in undecided[pair].items()
+        }
+
     result = ErrorCategorization()
     for pair in false_negatives:
-        relations = categorize_record_pair(
-            dataset[pair[0]], dataset[pair[1]], names, typo_threshold
-        )
+        relations = settled(pair)
         result.false_negatives[pair] = relations
         for attribute, relation in relations.items():
             if relation in _FN_ERROR_RELATIONS:
@@ -252,9 +306,7 @@ def categorize_errors(
                     relation
                 ] += 1
     for pair in false_positives:
-        relations = categorize_record_pair(
-            dataset[pair[0]], dataset[pair[1]], names, typo_threshold
-        )
+        relations = settled(pair)
         result.false_positives[pair] = relations
         for relation in relations.values():
             if relation in _FP_AGREEMENT_RELATIONS:

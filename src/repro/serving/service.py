@@ -27,6 +27,7 @@ bytes.
 
 from __future__ import annotations
 
+import heapq
 import logging
 import math
 import threading
@@ -38,6 +39,7 @@ from repro.engine.jobs import job_cache_key
 from repro.serving.cache import MetricResultCache
 from repro.serving.coalesce import RequestCoalescer
 from repro.telemetry.metrics import get_metrics
+from repro.telemetry.spans import span
 
 __all__ = ["ServingLayer"]
 
@@ -145,7 +147,8 @@ class ServingLayer:
                 self.computations += 1
             _SERVING_COMPUTATIONS.inc()
             _LOG.debug("computing %s payload for dataset %s", kind, dataset_name)
-            payload = compute()
+            with span("serving.compute", kind=kind, dataset=dataset_name):
+                payload = compute()
             self.cache.put(key, payload, tag=dataset_name)
             return payload
 
@@ -314,24 +317,20 @@ class ServingLayer:
         }
 
         def compute() -> dict:
-            from repro.core.timeline import DiagramTimeline
-
-            timeline = DiagramTimeline(
-                platform.dataset(dataset_name),
-                platform.experiment(dataset_name, experiment_name),
-                platform.gold(dataset_name, gold_name),
-            )
+            timeline = platform.timeline(dataset_name, experiment_name, gold_name)
             segment = timeline.segment(high, low)
+            # nsmallest(k, pairs) == sorted(pairs)[:k], without sorting
+            # every pair of a large segment
             return {
                 "high": high,
                 "low": low,
                 "new_true_positives": [
                     list(pair)
-                    for pair in sorted(segment.new_true_positives)[:1000]
+                    for pair in heapq.nsmallest(1000, segment.new_true_positives)
                 ],
                 "new_false_positives": [
                     list(pair)
-                    for pair in sorted(segment.new_false_positives)[:1000]
+                    for pair in heapq.nsmallest(1000, segment.new_false_positives)
                 ],
             }
 
@@ -355,7 +354,7 @@ class ServingLayer:
                 "include": include,
                 "exclude": exclude,
                 "size": len(pairs),
-                "pairs": [list(pair) for pair in sorted(pairs)[:1000]],
+                "pairs": [list(pair) for pair in heapq.nsmallest(1000, pairs)],
             }
 
         return self._fetch("serving:intersection", dataset_name, token, compute)

@@ -983,37 +983,51 @@ class FrostStore:
         in canonical pair order, and ``components`` rows
         ``(node_id, component)``.
 
-        The reads hold the store's write lock, so a batch another
-        thread of this process appends concurrently is seen whole or
-        not at all (node and edge rows always agree).
+        A batch appended concurrently is seen whole or not at all (node
+        and edge rows always agree): the reads hold the store's write
+        lock against other threads of this process, and run in one
+        SQLite read transaction against other processes writing the
+        same file.
         """
         with self._lock:
-            meta = self.graph_meta(name)
-            graph_id = self._graph_id(name)
-            nodes = list(
-                self._connection.execute(
-                    "SELECT node_id, native_id FROM graph_nodes "
-                    "WHERE graph_id = ? ORDER BY node_id",
-                    (graph_id,),
+            connection = self._connection
+            # Python's sqlite3 runs bare SELECTs in autocommit mode; an
+            # explicit BEGIN keeps one read snapshot across all four.
+            # No other process can reach a :memory: store, and its one
+            # shared handle may carry another thread's transaction.
+            owned = not self._in_memory and not connection.in_transaction
+            if owned:
+                connection.execute("BEGIN")
+            try:
+                meta = self.graph_meta(name)
+                graph_id = self._graph_id(name)
+                nodes = list(
+                    connection.execute(
+                        "SELECT node_id, native_id FROM graph_nodes "
+                        "WHERE graph_id = ? ORDER BY node_id",
+                        (graph_id,),
+                    )
                 )
-            )
-            edges = [
-                (first, second, score, bool(accepted), breakdown)
-                for first, second, score, accepted, breakdown
-                in self._connection.execute(
-                    "SELECT first_node, second_node, score, accepted, breakdown "
-                    "FROM graph_edges WHERE graph_id = ? "
-                    "ORDER BY first_node, second_node",
-                    (graph_id,),
+                edges = [
+                    (first, second, score, bool(accepted), breakdown)
+                    for first, second, score, accepted, breakdown
+                    in connection.execute(
+                        "SELECT first_node, second_node, score, accepted, "
+                        "breakdown FROM graph_edges WHERE graph_id = ? "
+                        "ORDER BY first_node, second_node",
+                        (graph_id,),
+                    )
+                ]
+                components = list(
+                    connection.execute(
+                        "SELECT node_id, component FROM graph_components "
+                        "WHERE graph_id = ? ORDER BY node_id",
+                        (graph_id,),
+                    )
                 )
-            ]
-            components = list(
-                self._connection.execute(
-                    "SELECT node_id, component FROM graph_components "
-                    "WHERE graph_id = ? ORDER BY node_id",
-                    (graph_id,),
-                )
-            )
+            finally:
+                if owned:
+                    connection.rollback()
         return {
             "meta": meta,
             "nodes": nodes,

@@ -20,9 +20,15 @@ from repro.columnar.kernels import (
     JaroKernel,
     JaroWinklerKernel,
     LevenshteinKernel,
+    levenshtein_distances,
 )
 from repro.datagen import make_person_benchmark
-from repro.matching.similarity import jaro, jaro_winkler, levenshtein
+from repro.matching.similarity import (
+    jaro,
+    jaro_winkler,
+    levenshtein,
+    levenshtein_distance,
+)
 from repro.streaming import build_pipeline_and_index
 from repro.telemetry import get_tracer
 
@@ -168,3 +174,27 @@ def test_batch_mix_trace_has_one_kernel_span_per_attribute():
     ]
     for child in kernels:
         assert 0 < child.annotations["distinct"] <= len(candidates)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pairs=st.lists(st.tuples(TEXT, TEXT), max_size=12))
+def test_batched_distances_equal_the_scalar_distance(pairs):
+    distances = levenshtein_distances(
+        [first for first, _ in pairs], [second for _, second in pairs]
+    )
+    assert distances.dtype == np.int64
+    assert distances.tolist() == [
+        levenshtein_distance(first, second) for first, second in pairs
+    ]
+
+
+def test_batched_distances_keep_input_order_across_chunks():
+    rng = random.Random(11)
+    firsts = [
+        "".join(rng.choice("abc") for _ in range(rng.randrange(0, 12)))
+        for _ in range(_STRING_CHUNK + 300)
+    ]
+    seconds = [value[::-1] + "a" for value in firsts]
+    assert levenshtein_distances(firsts, seconds).tolist() == [
+        levenshtein_distance(first, second) for first, second in zip(firsts, seconds)
+    ]

@@ -149,3 +149,44 @@ class TestProperties:
         assert meet_pairs <= right.pairs() | set()
         # and equals the set intersection of the two closed pair sets
         assert meet_pairs == (left.pairs() & right.pairs())
+
+
+@st.composite
+def partitions(draw):
+    """Two clusterings over a shared universe, each leaving records out.
+
+    Records absent from a clustering are implicit singletons there, so
+    the counts must not pair them up with each other.
+    """
+    universe = [f"r{index}" for index in range(draw(st.integers(0, 30)))]
+
+    def clustering():
+        labels = draw(
+            st.lists(
+                st.one_of(st.none(), st.integers(0, 6)),
+                min_size=len(universe),
+                max_size=len(universe),
+            )
+        )
+        groups: dict[int, list[str]] = {}
+        for record_id, label in zip(universe, labels):
+            if label is not None:
+                groups.setdefault(label, []).append(record_id)
+        return Clustering(groups.values())
+
+    return clustering(), clustering()
+
+
+class TestSharedPairCount:
+    @settings(max_examples=200, deadline=None)
+    @given(partitions())
+    def test_equals_intersection_pair_count_both_ways(self, drawn):
+        first, second = drawn
+        assert first.shared_pair_count(second) == first.intersect(second).pair_count()
+        assert second.shared_pair_count(first) == second.intersect(first).pair_count()
+
+    def test_unmentioned_records_share_no_pair(self):
+        experiment = Clustering([["a", "b", "c", "d"]])
+        truth = Clustering([["a", "b"]])  # c and d are singletons here
+        assert experiment.shared_pair_count(truth) == 1
+        assert truth.shared_pair_count(experiment) == 1

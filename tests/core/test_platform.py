@@ -1,7 +1,12 @@
 """Tests for the FrostPlatform facade."""
 
-import pytest
+import threading
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import Dataset, Experiment, GoldStandard, Record
 from repro.core.platform import FrostPlatform
 
 
@@ -84,3 +89,90 @@ class TestConvenienceViews:
         timeline = platform.timeline("people", "people-run", "people-gold")
         for point in platform.diagram("people", "people-run", "people-gold", 3):
             assert timeline.matrix_at(point.threshold) == point.matrix
+
+
+def _memo_platform(names=("left", "right")) -> FrostPlatform:
+    """Datasets with one scored run and one gold each."""
+    platform = FrostPlatform()
+    for name in names:
+        platform.add_dataset(
+            Dataset([Record(f"r{i}", {}) for i in range(6)], name=name)
+        )
+        platform.add_gold(
+            name, GoldStandard.from_pairs([("r0", "r1"), ("r2", "r3")], name="gold")
+        )
+        platform.add_experiment(
+            name,
+            Experiment(
+                [("r0", "r1", 0.9), ("r1", "r2", 0.6), ("r4", "r5", 0.3)],
+                name="run",
+            ),
+        )
+    return platform
+
+
+def _views(platform: FrostPlatform, name: str) -> tuple:
+    return (
+        platform.confusion(name, "run", "gold"),
+        platform.timeline(name, "run", "gold"),
+        platform.timeline(name, "run", "gold", checkpoint_every=1),
+    )
+
+
+class TestMemoization:
+    def test_views_are_computed_once(self):
+        platform = _memo_platform()
+        first = _views(platform, "left")
+        again = _views(platform, "left")
+        assert all(a is b for a, b in zip(first, again))
+        assert first[1] is not first[2]  # checkpoint interval is in the key
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        written=st.sampled_from(["left", "right"]),
+        kind=st.sampled_from(["experiment", "gold"]),
+    )
+    def test_write_drops_only_its_datasets_entries(self, written, kind):
+        platform = _memo_platform()
+        before = {name: _views(platform, name) for name in ("left", "right")}
+        if kind == "experiment":
+            platform.add_experiment(written, Experiment([("r0", "r5", 0.5)], name="new"))
+        else:
+            platform.add_gold(written, GoldStandard.from_pairs([("r4", "r5")], name="new"))
+        for name, views in before.items():
+            after = _views(platform, name)
+            kept = [a is b for a, b in zip(views, after)]
+            assert kept == [name != written] * 3
+            assert after[0] == views[0]
+            assert after[1].segment(1.0, 0.0) == views[1].segment(1.0, 0.0)
+
+    def test_unknown_names_raise_and_memoize_nothing(self):
+        platform = _memo_platform()
+        with pytest.raises(KeyError):
+            platform.confusion("left", "ghost", "gold")
+        with pytest.raises(KeyError):
+            platform.timeline("left", "run", "ghost")
+        assert platform._memo == {}
+
+    def test_concurrent_cold_timeline_requests_agree(self):
+        for _ in range(20):
+            platform = _memo_platform()
+            barrier = threading.Barrier(2)
+            results = []
+
+            def ask():
+                barrier.wait(timeout=10)
+                timeline = platform.timeline("left", "run", "gold")
+                results.append(
+                    (timeline, timeline.segment(1.0, 0.0), timeline.matrix_at(0.5))
+                )
+
+            threads = [threading.Thread(target=ask) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            (first, segment_a, matrix_a), (second, segment_b, matrix_b) = results
+            assert first is second
+            assert segment_a == segment_b
+            assert matrix_a == matrix_b

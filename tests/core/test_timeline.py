@@ -182,3 +182,63 @@ class TestSegment:
         assert union_false == full.new_false_positives
         assert not (top.new_true_positives & bottom.new_true_positives)
         assert not (top.new_false_positives & bottom.new_false_positives)
+
+
+class TestLazyCheckpoints:
+    def test_construction_takes_no_checkpoint(self):
+        dataset, experiment, gold = _random_case(0)
+        timeline = DiagramTimeline(dataset, experiment, gold)
+        assert timeline._checkpoints is None
+        timeline.matrix_at(0.5)
+        assert timeline._checkpoints is not None
+
+    @given(
+        st.integers(min_value=0, max_value=5000),
+        st.integers(min_value=1, max_value=12),
+        st.floats(min_value=-0.1, max_value=1.1),
+        st.floats(min_value=-0.1, max_value=1.1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_segment_then_matrix_at_equals_diagram(
+        self, seed, checkpoint_every, first, second
+    ):
+        """segment() builds no checkpoint, and matrix_at afterwards
+        still agrees with the one-pass diagram at every threshold."""
+        rng = random.Random(seed)
+        dataset, experiment, gold = _random_case(
+            seed, n=rng.randrange(4, 20), matches=rng.randrange(0, 25)
+        )
+        timeline = DiagramTimeline(
+            dataset, experiment, gold, checkpoint_every=checkpoint_every
+        )
+        if first != second:
+            timeline.segment(max(first, second), min(first, second))
+        assert timeline._checkpoints is None
+        points = compute_diagram_optimized(
+            dataset, experiment, gold, samples=len(experiment) + 1
+        )
+        for point in points:
+            assert timeline.matrix_at(point.threshold) == point.matrix
+
+    @given(st.integers(min_value=0, max_value=5000))
+    @settings(max_examples=30, deadline=None)
+    def test_segment_labels_equal_gold_lookup(self, seed):
+        """Integer truth labels split pairs exactly as the gold does,
+        including records the gold clustering never mentions."""
+        rng = random.Random(seed)
+        n = rng.randrange(4, 20)
+        dataset = Dataset([Record(f"r{i}", {}) for i in range(n)], name="rand")
+        gold = GoldStandard(
+            clustering=Clustering(
+                [f"r{i}" for i in range(start, min(n, start + 3))]
+                for start in range(0, n, 5)
+            )
+        )
+        pairs = {
+            tuple(sorted(rng.sample([f"r{i}" for i in range(n)], 2)))
+            for _ in range(rng.randrange(1, 30))
+        }
+        experiment = Experiment([(a, b, rng.random()) for a, b in sorted(pairs)])
+        segment = DiagramTimeline(dataset, experiment, gold).segment(2.0, -1.0)
+        assert all(gold.is_duplicate(*p) for p in segment.new_true_positives)
+        assert not any(gold.is_duplicate(*p) for p in segment.new_false_positives)

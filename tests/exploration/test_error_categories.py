@@ -1,11 +1,15 @@
 """Tests for error categorization (§7 outlook)."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Dataset, Experiment, GoldStandard, Record
 from repro.exploration.error_categories import (
+    _FN_ERROR_RELATIONS,
+    _FP_AGREEMENT_RELATIONS,
     ErrorCategorization,
     ValueRelation,
     categorize_errors,
@@ -202,3 +206,109 @@ class TestCategorizeErrors:
         empty = ErrorCategorization()
         assert empty.dominant_weakness() is None
         assert "false negatives: 0" in empty.render_report()
+
+
+class TestNegativeTypoThreshold:
+    def test_classify_rejects_negative_threshold(self):
+        with pytest.raises(ValueError, match="typo_threshold"):
+            classify_value_pair("john", "jon", typo_threshold=-1)
+
+    def test_classify_rejects_negative_threshold_on_decided_values(self):
+        with pytest.raises(ValueError, match="typo_threshold"):
+            classify_value_pair(None, None, typo_threshold=-1)
+
+    def test_categorize_rejects_negative_threshold(self, typo_scenario):
+        dataset, experiment, gold = typo_scenario
+        with pytest.raises(ValueError, match="typo_threshold"):
+            categorize_errors(dataset, experiment, gold, typo_threshold=-1)
+
+    def test_zero_threshold_admits_no_typo(self):
+        assert classify_value_pair("john", "jon", 0) is ValueRelation.DIFFERENT
+        assert classify_value_pair("john", "jon", 1) is ValueRelation.TYPO
+
+
+# Few characters make equal, near-equal and abbreviated values common;
+# spaces, dots and case exercise normalization; é and an astral code
+# point probe the batched distance's code-point layout.
+VALUE_CHARS = st.sampled_from(["a", "b", "A", " ", ".", "é", "\U0001F600"])
+VALUES = st.one_of(
+    st.none(),
+    st.just(""),
+    st.text(VALUE_CHARS, max_size=9),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def categorization_cases(draw):
+    count = draw(st.integers(2, 9))
+    ids = [f"r{index}" for index in range(count)]
+    records = [
+        Record(record_id, {"x": draw(VALUES), "y": draw(VALUES)})
+        for record_id in ids
+    ]
+    all_pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]]
+    gold = GoldStandard.from_pairs(
+        draw(st.lists(st.sampled_from(all_pairs), max_size=6))
+    )
+    experiment = Experiment(
+        draw(st.lists(st.sampled_from(all_pairs), max_size=8)), name="run"
+    )
+    return Dataset(records, name="values"), experiment, gold
+
+
+def _per_pair_categorization(dataset, experiment, gold, typo_threshold):
+    """The reference: one categorize_record_pair call per error pair."""
+    names = dataset.attributes
+    result = ErrorCategorization()
+    for pair in sorted(gold.pairs() - experiment.pairs()):
+        relations = categorize_record_pair(
+            dataset[pair[0]], dataset[pair[1]], names, typo_threshold
+        )
+        result.false_negatives[pair] = relations
+        for attribute, relation in relations.items():
+            if relation in _FN_ERROR_RELATIONS:
+                result.false_negative_relations[relation] += 1
+                result.per_attribute_fn.setdefault(attribute, Counter())[
+                    relation
+                ] += 1
+    for pair in sorted(experiment.pairs() - gold.pairs()):
+        relations = categorize_record_pair(
+            dataset[pair[0]], dataset[pair[1]], names, typo_threshold
+        )
+        result.false_positives[pair] = relations
+        for relation in relations.values():
+            if relation in _FP_AGREEMENT_RELATIONS:
+                result.false_positive_relations[relation] += 1
+    return result
+
+
+class TestBatchedCategorization:
+    @settings(max_examples=150, deadline=None)
+    @given(case=categorization_cases(), typo_threshold=st.integers(0, 3))
+    def test_equals_the_per_pair_loop(self, case, typo_threshold):
+        dataset, experiment, gold = case
+        batched = categorize_errors(
+            dataset, experiment, gold, typo_threshold=typo_threshold
+        )
+        expected = _per_pair_categorization(dataset, experiment, gold, typo_threshold)
+        assert list(batched.false_negatives.items()) == list(
+            expected.false_negatives.items()
+        )
+        assert list(batched.false_positives.items()) == list(
+            expected.false_positives.items()
+        )
+        # insertion order breaks most_common ties, so compare it too
+        for field in ("false_negative_relations", "false_positive_relations"):
+            assert list(getattr(batched, field).items()) == list(
+                getattr(expected, field).items()
+            )
+        assert {
+            attribute: list(counter.items())
+            for attribute, counter in batched.per_attribute_fn.items()
+        } == {
+            attribute: list(counter.items())
+            for attribute, counter in expected.per_attribute_fn.items()
+        }
+        assert batched.dominant_weakness() is expected.dominant_weakness()
+        assert batched.dominant_seduction() is expected.dominant_seduction()

@@ -8,6 +8,7 @@ from repro.core import Experiment, GoldStandard
 from repro.core.platform import FrostPlatform
 from repro.serving import ServingLayer, platform_from_store
 from repro.storage.database import FrostStore
+from repro.telemetry import get_tracer
 
 
 @pytest.fixture
@@ -67,6 +68,29 @@ class TestReadThrough:
         with pytest.raises(KeyError):
             serving.metrics_payload("people", "ghost", None, None)
         assert serving.stats()["computations"] == 0
+
+
+class TestComputeSpan:
+    def test_cold_request_records_a_compute_span_and_warm_none(self, serving):
+        tracer = get_tracer()
+        tracer.reset()
+        tracer.enable()
+        try:
+            with tracer.span("request"):
+                serving.metrics_payload("people", "people-gold", None, ["f1"])
+            with tracer.span("request"):
+                serving.metrics_payload("people", "people-gold", None, ["f1"])
+        finally:
+            tracer.disable()
+        cold, warm = tracer.roots()
+        tracer.reset()
+        (compute,) = cold.children
+        assert compute.name == "serving.compute"
+        assert compute.annotations == {
+            "kind": "serving:metrics", "dataset": "people"
+        }
+        assert compute.seconds > 0
+        assert warm.children == []
 
 
 class TestInvalidation:

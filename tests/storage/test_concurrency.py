@@ -138,6 +138,74 @@ class TestFileBackedStore:
         assert len(errors) == 1
 
 
+class _InjectingConnection:
+    """A connection that runs ``inject`` right after the graph_nodes SELECT."""
+
+    def __init__(self, connection, inject) -> None:
+        self._real = connection
+        self._inject = inject
+
+    def execute(self, sql, *args):
+        cursor = self._real.execute(sql, *args)
+        if "FROM graph_nodes" in sql and self._inject is not None:
+            rows = cursor.fetchall()
+            inject, self._inject = self._inject, None
+            inject()
+            return iter(rows)
+        return cursor
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+
+class TestGraphReadSnapshot:
+    def test_load_graph_ignores_a_batch_committed_between_its_selects(
+        self, tmp_path
+    ):
+        """Another store on the file commits a graph batch after the
+        nodes SELECT: the edges read must still match the nodes read."""
+        path = tmp_path / "graph.db"
+        with FrostStore(path) as reader, FrostStore(path) as writer:
+            reader.create_graph("g", threshold=0.5)
+            reader.append_graph_batch(
+                "g", [(0, "a"), (1, "b")], [(0, 1, 0.9, True, None)], [(0, 0), (1, 0)]
+            )
+            errors: list[Exception] = []
+
+            def append() -> None:
+                try:
+                    writer.append_graph_batch(
+                        "g",
+                        [(2, "c")],
+                        [(0, 2, 0.8, True, None), (1, 2, 0.7, True, None)],
+                        [(2, 0)],
+                    )
+                except Exception as error:  # pragma: no cover - reported below
+                    errors.append(error)
+
+            appender = threading.Thread(target=append)
+
+            def inject() -> None:
+                # Unguarded SELECTs let the commit land now; inside a
+                # read transaction it waits until the reads are done.
+                appender.start()
+                appender.join(timeout=1.0)
+
+            reader._local.connection = _InjectingConnection(
+                reader._connection, inject
+            )
+            document = reader.load_graph("g")
+            appender.join(timeout=30)
+            assert not appender.is_alive() and not errors, errors
+
+            nodes = {node_id for node_id, _ in document["nodes"]}
+            for first, second, *_ in document["edges"]:
+                assert {first, second} <= nodes
+            assert document["meta"]["node_count"] == len(document["nodes"]) == 2
+            assert document["meta"]["edge_count"] == len(document["edges"]) == 1
+            assert len(reader.load_graph("g")["edges"]) == 3
+
+
 class TestInMemoryStore:
     def test_eight_thread_hammer(self):
         with FrostStore() as store:
